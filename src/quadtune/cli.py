@@ -10,25 +10,17 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from typing import Optional
 
 from .config import RunConfig
 from .errors import ConfigError, InvalidArgumentError, QuadtuneError
-from .quadprobe import LossSample, epsilon_bound, fit_quadratic, probe_points, propose_epsilon
-from .runner import CSV_COLUMNS, RunRecord, TrainingRun, run_all_seeds
-from .schedules import lr_range_test
+from .quadprobe import propose_epsilon
+from .runner import CSV_COLUMNS, RunRecord, TrainingRun, _fmt, run_all_seeds, tuner_config_from_policy
+from .schedules import lr_at, lr_range_test
 from .stats import summarize
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+from .tuner import probe_round
 
 
 def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
@@ -59,12 +51,18 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def cmd_train(args) -> int:
-    cfg = _load_config(args)
+def _run_and_write(cfg: RunConfig) -> dict:
+    """Run every seed, write one trace per seed plus summary.json; return the summary."""
     traces, summary = run_all_seeds(cfg)
     for seed, records in traces.items():
         write_trace(os.path.join(cfg.out_dir, f"trace_seed{seed}.csv"), records)
     _write_json(os.path.join(cfg.out_dir, "summary.json"), summary)
+    return summary
+
+
+def cmd_train(args) -> int:
+    cfg = _load_config(args)
+    summary = _run_and_write(cfg)
     if not args.quiet:
         for metric, agg in summary["aggregate"].items():
             print(f"{metric}: mean={agg['mean']:.6g} stddev={agg['stddev']:.3g} (n={agg['n']})")
@@ -95,10 +93,7 @@ def cmd_sweep(args) -> int:
         sub_cfg = RunConfig.from_dict(cfg.to_dict())
         sub_cfg.lr_policy["seed_lr"] = value
         sub_cfg.out_dir = os.path.join(cfg.out_dir, f"seed_lr_{value:g}")
-        traces, summary = run_all_seeds(sub_cfg)
-        for seed, records in traces.items():
-            write_trace(os.path.join(sub_cfg.out_dir, f"trace_seed{seed}.csv"), records)
-        _write_json(os.path.join(sub_cfg.out_dir, "summary.json"), summary)
+        summary = _run_and_write(sub_cfg)
         stats = summarize(_sweep_metric(summary["per_seed"]))
         rows.append([_fmt(value), _fmt(stats.mean), _fmt(stats.stddev)])
         if not args.quiet:
@@ -151,46 +146,27 @@ def cmd_quadcheck(args) -> int:
         raise ConfigError("at_step must lie within the configured run")
     run.advance_to(args.at_step)
 
-    policy = cfg.lr_policy
-    if run.tuner is not None:
-        tc = run.tuner.cfg
-        eta = run.tuner.state.current_lr
-        r, n, span, sb_size = tc.epsilon_threshold_r, tc.n_probes, tc.span_fraction, tc.superbatch_size
-    else:
-        from .schedules import lr_at
-
-        eta = lr_at(run.schedule, args.at_step, run.total_steps)
-        r = float(policy.get("epsilon_threshold", 1e-3))
-        n = int(policy.get("n_probes", 5))
-        span = float(policy.get("span_fraction", 0.5))
-        sb_size = min(100, run.engine.batches_per_epoch)
-
     engine = run.engine
+    if run.tuner is not None:
+        tc, eta = run.tuner.cfg, run.tuner.state.current_lr
+    else:
+        eta = lr_at(run.schedule, args.at_step, run.total_steps)
+        tc = tuner_config_from_policy(dict(cfg.lr_policy, seed_lr=eta), run.total_steps, engine.batches_per_epoch)
+
     x, y = engine.batch_for_step(args.at_step)
     _, grads = engine.loss_and_gradient(x, y)
-    pending = run.optimizer.compute_direction(run.model.params, grads)
-    direction = pending.direction
-    sb = engine.draw_superbatch(sb_size)
+    direction = run.optimizer.compute_direction(run.model.params, grads).direction
+    sb = engine.draw_superbatch(min(tc.superbatch_size, engine.batches_per_epoch))
+    probe = probe_round(engine, direction, eta, sb, tc.epsilon_threshold_r, tc.n_probes, tc.span_fraction)
+    if probe.bound <= 0.0:
+        raise QuadtuneError(f"loss at the current lr is {probe.loss_at_zero!r}; nothing to probe")
+    if probe.fit is None:
+        raise QuadtuneError("too few finite probes for a fit")
+    fit = probe.fit
 
-    loss_at_zero = engine.perturbed_loss(direction, eta, sb)
-    if not math.isfinite(loss_at_zero):
-        raise QuadtuneError("loss at the current lr is non-finite; cannot probe")
-    bound = epsilon_bound(r, max(loss_at_zero, 0.0))
-    if bound <= 0.0:
-        raise QuadtuneError("epsilon bound is zero (loss is zero); nothing to probe")
-
-    grid = probe_points(eta, bound, n, span)
-    samples = []
-    for eps in grid:
-        loss = loss_at_zero if eps == 0.0 else engine.perturbed_loss(direction, eta + eps, sb)
-        samples.append(LossSample(epsilon=eps, loss=loss))
-    fit = fit_quadratic(samples)
-
-    half_width = max(abs(e) for e in grid)
+    half_width = max(abs(s.epsilon) for s in probe.samples)
     held_out = [-2.0 * half_width, -1.5 * half_width, 1.5 * half_width, 2.0 * half_width]
-    rows = []
-    for s in samples:
-        rows.append([_fmt(s.epsilon), _fmt(s.loss), _fmt(fit.predict(s.epsilon)), "0"])
+    rows = [[_fmt(s.epsilon), _fmt(s.loss), _fmt(fit.predict(s.epsilon)), "0"] for s in probe.samples]
     for eps in held_out:
         measured = engine.perturbed_loss(direction, eta + eps, sb)
         rows.append([_fmt(eps), _fmt(measured), _fmt(fit.predict(eps)), "1"])
@@ -200,7 +176,7 @@ def cmd_quadcheck(args) -> int:
         rows,
     )
 
-    proposal = propose_epsilon(fit, bound)
+    proposal = propose_epsilon(fit, probe.bound)
     if proposal.epsilon is not None:
         eps_min = proposal.epsilon
         true_at_min = engine.perturbed_loss(direction, eta + eps_min, sb)

@@ -6,12 +6,9 @@ import json
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from .datasets import DATASETS
 from .errors import ConfigError
-
-_DATASET_KINDS = {"blobs", "moons", "linreg", "bowl", "idx"}
-_MODEL_KINDS = {"mlp", "logreg", "linreg", "bowl"}
-_OPTIMIZER_KINDS = {"sgd", "momentum", "adam", "adamw"}
-_SCHEDULE_VARIANTS = {"constant", "step", "cosine", "linear", "inverse_sqrt", "one_cycle", "trapezoid"}
+from .runner import MODELS, OPTIMIZERS, SCHEDULES
 
 
 @dataclass
@@ -35,15 +32,16 @@ class RunConfig:
         optimizer = dict(raw["optimizer"])
         policy = dict(raw["lr_policy"])
 
-        if dataset.get("kind") not in _DATASET_KINDS:
-            raise ConfigError(f"unknown dataset kind {dataset.get('kind')!r}")
-        if model.get("kind") not in _MODEL_KINDS:
-            raise ConfigError(f"unknown model kind {model.get('kind')!r}")
-        if optimizer.get("kind") not in _OPTIMIZER_KINDS:
-            raise ConfigError(f"unknown optimizer kind {optimizer.get('kind')!r}")
+        for family, spec, table in (
+            ("dataset", dataset, DATASETS),
+            ("model", model, MODELS),
+            ("optimizer", optimizer, OPTIMIZERS),
+        ):
+            if spec.get("kind") not in table:
+                raise ConfigError(f"unknown {family} kind {spec.get('kind')!r}")
         if policy.get("kind") not in ("tuner", "schedule"):
             raise ConfigError("lr_policy.kind must be 'tuner' or 'schedule'")
-        if policy["kind"] == "schedule" and policy.get("variant") not in _SCHEDULE_VARIANTS:
+        if policy["kind"] == "schedule" and policy.get("variant") not in SCHEDULES:
             raise ConfigError(f"unknown schedule variant {policy.get('variant')!r}")
 
         epochs = raw["epochs"]

@@ -59,7 +59,7 @@ def _split(x: np.ndarray, y: np.ndarray, task: str, num_classes=None, train_frac
     )
 
 
-def make_blobs(n: int, k: int = 2, sep: float = 5.0, dim: int = 2, seed: int = 0) -> Dataset:
+def make_blobs(n: int = 1000, k: int = 2, sep: float = 5.0, dim: int = 2, seed: int = 0) -> Dataset:
     """k Gaussian clusters (unit variance) with pairwise center distance sep."""
     if n <= 0 or k < 2 or dim < 1:
         raise InvalidArgumentError("blobs require n > 0, k >= 2, dim >= 1")
@@ -79,7 +79,7 @@ def make_blobs(n: int, k: int = 2, sep: float = 5.0, dim: int = 2, seed: int = 0
     return _split(x, labels.astype(np.int64), TASK_CLASSIFICATION, num_classes=k)
 
 
-def make_moons(n: int, noise: float = 0.15, seed: int = 0) -> Dataset:
+def make_moons(n: int = 1000, noise: float = 0.15, seed: int = 0) -> Dataset:
     """Two interleaving half circles with Gaussian noise."""
     if n <= 0:
         raise InvalidArgumentError("n must be positive")
@@ -96,7 +96,7 @@ def make_moons(n: int, noise: float = 0.15, seed: int = 0) -> Dataset:
     return _split(x[perm], y[perm], TASK_CLASSIFICATION, num_classes=2)
 
 
-def make_linear_regression(n: int, dim: int = 4, noise: float = 0.1, seed: int = 0) -> Dataset:
+def make_linear_regression(n: int = 1000, dim: int = 4, noise: float = 0.1, seed: int = 0) -> Dataset:
     """y = x @ w_true + b_true + noise, with x ~ N(0, I)."""
     if n <= 0 or dim < 1:
         raise InvalidArgumentError("regression requires n > 0 and dim >= 1")
@@ -122,32 +122,35 @@ def make_bowl_dataset(n: int = 256) -> Dataset:
     return _split(x, y, TASK_NONE)
 
 
+def spec_kwargs(spec: dict, **casts) -> dict:
+    """Keyword arguments for the keys of ``spec`` named in ``casts``, coerced.
+
+    Keys the spec leaves out are not passed, so the callee's own default
+    applies. A cast given as ``(name, fn)`` passes the key as argument ``name``.
+    """
+    kwargs = {}
+    for key, cast in casts.items():
+        if key in spec:
+            name, fn = cast if isinstance(cast, tuple) else (key, cast)
+            kwargs[name] = fn(spec[key])
+    return kwargs
+
+
+DATASETS = {
+    "blobs": lambda spec: make_blobs(**spec_kwargs(spec, n=int, k=int, sep=float, dim=int, seed=int)),
+    "moons": lambda spec: make_moons(**spec_kwargs(spec, n=int, noise=float, seed=int)),
+    "linreg": lambda spec: make_linear_regression(**spec_kwargs(spec, n=int, dim=int, noise=float, seed=int)),
+    "bowl": lambda spec: make_bowl_dataset(**spec_kwargs(spec, n=int)),
+    "idx": lambda spec: load_idx(spec["images"], spec["labels"]),
+}
+
+
 def make_dataset(spec: dict) -> Dataset:
     """Build a dataset from a config mapping with a 'kind' discriminator."""
     kind = spec.get("kind")
-    seed = int(spec.get("seed", 0))
-    if kind == "blobs":
-        return make_blobs(
-            n=int(spec.get("n", 1000)),
-            k=int(spec.get("k", 2)),
-            sep=float(spec.get("sep", 5.0)),
-            dim=int(spec.get("dim", 2)),
-            seed=seed,
-        )
-    if kind == "moons":
-        return make_moons(n=int(spec.get("n", 1000)), noise=float(spec.get("noise", 0.15)), seed=seed)
-    if kind == "linreg":
-        return make_linear_regression(
-            n=int(spec.get("n", 1000)),
-            dim=int(spec.get("dim", 4)),
-            noise=float(spec.get("noise", 0.1)),
-            seed=seed,
-        )
-    if kind == "bowl":
-        return make_bowl_dataset(n=int(spec.get("n", 256)))
-    if kind == "idx":
-        return load_idx(spec["images"], spec["labels"])
-    raise InvalidArgumentError(f"unknown dataset kind {kind!r}")
+    if kind not in DATASETS:
+        raise InvalidArgumentError(f"unknown dataset kind {kind!r}")
+    return DATASETS[kind](spec)
 
 
 def _read_exact(f, count: int, path: str) -> bytes:

@@ -21,7 +21,7 @@ from .errors import InvalidArgumentError
 from .models import TASK_CLASSIFICATION, TASK_NONE, Model
 from .optim import Optimizer, PendingStep
 
-_STREAM_PURPOSES = {"init": 1, "shuffle": 2, "superbatch": 3, "noise": 4}
+_STREAM_PURPOSES = {"init": 1, "shuffle": 2, "superbatch": 3}
 
 
 class RngStream:

@@ -41,6 +41,9 @@ class Snapshot:
 class Optimizer:
     """Base class implementing the compute/commit protocol and snapshots."""
 
+    # Attributes saved in snapshots; a direction's payload holds the ones it updates.
+    BUFFERS: tuple[str, ...] = ()
+
     def __init__(self, weight_decay: float = 0.0):
         if weight_decay < 0.0:
             raise InvalidArgumentError("weight_decay must be nonnegative")
@@ -81,7 +84,8 @@ class Optimizer:
         raise NotImplementedError
 
     def _apply(self, payload: dict) -> None:
-        pass
+        for name, value in payload.items():
+            setattr(self, name, value)
 
     # -- snapshot support ---------------------------------------------------
 
@@ -104,10 +108,11 @@ class Optimizer:
         self._set_buffers(copy.deepcopy(state["buffers"]))
 
     def _buffers(self) -> dict[str, Any]:
-        return {}
+        return {name: getattr(self, name) for name in self.BUFFERS}
 
     def _set_buffers(self, buffers: dict[str, Any]) -> None:
-        pass
+        for name in self.BUFFERS:
+            setattr(self, name, buffers[name])
 
     def _check_buffers(self, buffers: dict[str, Any]) -> None:
         for key, value in buffers.items():
@@ -130,6 +135,8 @@ class Sgd(Optimizer):
 class Momentum(Optimizer):
     """Polyak heavy-ball: v' = mu*v + g, step is -lr*v'."""
 
+    BUFFERS = ("velocity", "mu")
+
     def __init__(self, mu: float = 0.9, weight_decay: float = 0.0):
         super().__init__(weight_decay)
         if not 0.0 <= mu < 1.0:
@@ -143,20 +150,11 @@ class Momentum(Optimizer):
         v_next = self.mu * v + g
         return v_next.copy(), {"velocity": v_next}
 
-    def _apply(self, payload):
-        self.velocity = payload["velocity"]
-
-    def _buffers(self):
-        return {"velocity": self.velocity, "mu": self.mu}
-
-    def _set_buffers(self, buffers):
-        self.velocity = buffers["velocity"]
-        self.mu = buffers["mu"]
-
 
 class Adam(Optimizer):
     """Adam with bias correction; weight decay (if any) folded into the gradient."""
 
+    BUFFERS = ("m", "v")
     decoupled_decay = False
 
     def __init__(
@@ -188,17 +186,6 @@ class Adam(Optimizer):
         v_hat = v_next / (1.0 - self.beta2**t)
         d = m_hat / (np.sqrt(v_hat) + self.eps_stab)
         return d, {"m": m_next, "v": v_next}
-
-    def _apply(self, payload):
-        self.m = payload["m"]
-        self.v = payload["v"]
-
-    def _buffers(self):
-        return {"m": self.m, "v": self.v}
-
-    def _set_buffers(self, buffers):
-        self.m = buffers["m"]
-        self.v = buffers["v"]
 
 
 class AdamW(Adam):

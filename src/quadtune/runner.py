@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
-from .config import RunConfig
-from .datasets import Dataset, make_dataset
+from .datasets import Dataset, make_dataset, spec_kwargs
 from .engine import RngStream, TrainingEngine
 from .errors import ConfigError, InvalidArgumentError
 from .models import (
@@ -20,7 +20,7 @@ from .models import (
     Model,
     QuadraticBowl,
 )
-from .optim import Adam, AdamW, Momentum, Optimizer, Sgd
+from .optim import Adam, AdamW, Momentum, Sgd
 from .schedules import (
     Constant,
     CosineDecay,
@@ -35,6 +35,9 @@ from .schedules import (
 )
 from .stats import summarize
 from .tuner import LearningRateTuner, TunerConfig
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 CSV_COLUMNS = [
     "step",
@@ -64,140 +67,144 @@ class RunRecord:
     event: str
 
     def to_csv_row(self) -> list[str]:
-        def fmt(value):
-            if value is None:
-                return ""
-            if isinstance(value, float):
-                return repr(value)
-            return str(value)
-
         return [
             str(self.step),
             str(self.epoch),
-            fmt(self.lr),
-            fmt(self.train_loss),
-            fmt(self.superbatch_loss),
-            fmt(self.test_loss),
-            fmt(self.test_acc),
+            _fmt(self.lr),
+            _fmt(self.train_loss),
+            _fmt(self.superbatch_loss),
+            _fmt(self.test_loss),
+            _fmt(self.test_acc),
             str(self.probe_fwd),
             self.event,
         ]
 
 
-def build_model(spec: dict[str, Any], dataset: Dataset, rng: np.random.Generator) -> Model:
-    kind = spec.get("kind")
-    if kind == "linreg":
-        return LinearRegression(dataset.n_features)
-    if kind == "logreg":
+def _fmt(value) -> str:
+    """CSV cell: blank for None, repr for floats so values round-trip exactly."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _build_logreg(spec: dict[str, Any], dataset: Dataset, rng: np.random.Generator) -> Model:
+    if dataset.num_classes is None:
+        raise ConfigError("logreg model requires a classification dataset")
+    return LogisticRegression(dataset.n_features, dataset.num_classes)
+
+
+def _build_mlp(spec: dict[str, Any], dataset: Dataset, rng: np.random.Generator) -> Model:
+    hidden = [int(h) for h in spec.get("hidden", [32])]
+    task = spec.get("task") or dataset.task
+    if task == TASK_CLASSIFICATION:
         if dataset.num_classes is None:
-            raise ConfigError("logreg model requires a classification dataset")
-        return LogisticRegression(dataset.n_features, dataset.num_classes)
-    if kind == "mlp":
-        hidden = [int(h) for h in spec.get("hidden", [32])]
-        task = spec.get("task") or dataset.task
-        if task == TASK_CLASSIFICATION:
-            if dataset.num_classes is None:
-                raise ConfigError("classification mlp requires a classification dataset")
-            sizes = [dataset.n_features] + hidden + [dataset.num_classes]
-        elif task == TASK_REGRESSION:
-            sizes = [dataset.n_features] + hidden + [1]
-        else:
-            raise ConfigError(f"mlp cannot train on task {task!r}")
-        return Mlp(sizes, task=task, rng=rng)
-    if kind == "bowl":
-        matrix = spec.get("matrix", spec.get("diag"))
-        if matrix is None:
-            raise ConfigError("bowl model requires 'matrix' or 'diag'")
-        theta0 = spec.get("theta0")
-        return QuadraticBowl(np.asarray(matrix, dtype=np.float64), theta0=theta0)
-    raise ConfigError(f"unknown model kind {kind!r}")
+            raise ConfigError("classification mlp requires a classification dataset")
+        sizes = [dataset.n_features] + hidden + [dataset.num_classes]
+    elif task == TASK_REGRESSION:
+        sizes = [dataset.n_features] + hidden + [1]
+    else:
+        raise ConfigError(f"mlp cannot train on task {task!r}")
+    return Mlp(sizes, task=task, rng=rng)
 
 
-def build_optimizer(spec: dict[str, Any]) -> Optimizer:
-    kind = spec.get("kind")
-    wd = float(spec.get("weight_decay", 0.0))
-    if kind == "sgd":
-        return Sgd(weight_decay=wd)
-    if kind == "momentum":
-        return Momentum(mu=float(spec.get("momentum", 0.9)), weight_decay=wd)
-    if kind in ("adam", "adamw"):
-        cls = Adam if kind == "adam" else AdamW
-        return cls(
-            beta1=float(spec.get("beta1", 0.9)),
-            beta2=float(spec.get("beta2", 0.999)),
-            eps_stab=float(spec.get("eps_stab", 1e-8)),
-            weight_decay=wd,
-        )
-    raise ConfigError(f"unknown optimizer kind {kind!r}")
+def _build_bowl(spec: dict[str, Any], dataset: Dataset, rng: np.random.Generator) -> Model:
+    matrix = spec.get("matrix", spec.get("diag"))
+    if matrix is None:
+        raise ConfigError("bowl model requires 'matrix' or 'diag'")
+    return QuadraticBowl(np.asarray(matrix, dtype=np.float64), theta0=spec.get("theta0"))
+
+
+MODELS = {
+    "linreg": lambda spec, dataset, rng: LinearRegression(dataset.n_features),
+    "logreg": _build_logreg,
+    "mlp": _build_mlp,
+    "bowl": _build_bowl,
+}
+
+
+_ADAM_KEYS = dict(beta1=float, beta2=float, eps_stab=float, weight_decay=float)
+
+OPTIMIZERS = {
+    "sgd": lambda spec: Sgd(**spec_kwargs(spec, weight_decay=float)),
+    "momentum": lambda spec: Momentum(**spec_kwargs(spec, momentum=("mu", float), weight_decay=float)),
+    "adam": lambda spec: Adam(**spec_kwargs(spec, **_ADAM_KEYS)),
+    "adamw": lambda spec: AdamW(**spec_kwargs(spec, **_ADAM_KEYS)),
+}
 
 
 def tuner_config_from_policy(policy: dict[str, Any], total_steps: int, batches_per_epoch: int) -> TunerConfig:
+    """TunerConfig from an lr_policy; an explore budget in steps or epochs is floored to whole steps."""
     if "explore_steps" in policy:
-        explore = float(policy["explore_steps"])
+        explore = {"explore_budget": math.floor(float(policy["explore_steps"]))}
     elif "explore_epochs" in policy:
-        explore = float(policy["explore_epochs"]) * batches_per_epoch
+        explore = {"explore_budget": math.floor(float(policy["explore_epochs"]) * batches_per_epoch)}
     else:
-        explore = float(policy.get("explore_fraction", 0.25))
+        explore = spec_kwargs(policy, explore_fraction=("explore_budget", float))
     return TunerConfig(
         seed_lr=float(policy["seed_lr"]),
         total_steps=total_steps,
-        explore_budget=explore,
-        recompute_window=int(policy.get("recompute_window", 50)),
-        superbatch_size=int(policy.get("superbatch_size", 100)),
-        n_probes=int(policy.get("n_probes", 5)),
-        epsilon_threshold_r=float(policy.get("epsilon_threshold", 1e-3)),
-        saturation_threshold_rel=float(policy.get("saturation_threshold", 100.0)),
-        span_fraction=float(policy.get("span_fraction", 0.5)),
-        rollback_enabled=bool(policy.get("rollback", True)),
-        rollback_factor=float(policy.get("rollback_factor", 0.5)),
+        **explore,
+        **spec_kwargs(
+            policy,
+            recompute_window=int,
+            superbatch_size=int,
+            n_probes=int,
+            epsilon_threshold=("epsilon_threshold_r", float),
+            saturation_threshold=("saturation_threshold_rel", float),
+            span_fraction=float,
+            rollback=("rollback_enabled", bool),
+            rollback_factor=float,
+        ),
     )
 
 
+def _warmup(policy: dict[str, Any], batches_per_epoch: int) -> dict[str, int]:
+    if "warmup_epochs" in policy:
+        return {"warmup_steps": int(round(float(policy["warmup_epochs"]) * batches_per_epoch))}
+    return spec_kwargs(policy, warmup_steps=int)
+
+
+def _step_schedule(policy: dict[str, Any], batches_per_epoch: int) -> StepSchedule:
+    if "boundaries_epochs" in policy:
+        boundaries = tuple(int(round(float(b) * batches_per_epoch)) for b in policy["boundaries_epochs"])
+    else:
+        boundaries = tuple(int(b) for b in policy["boundaries"])
+    return StepSchedule(lrs=tuple(float(v) for v in policy["lrs"]), boundaries=boundaries)
+
+
+def _inverse_sqrt(policy: dict[str, Any], batches_per_epoch: int) -> InverseSqrt:
+    warmup = _warmup(policy, batches_per_epoch).get("warmup_steps", 1)
+    return InverseSqrt(
+        peak_lr=float(policy["peak_lr"]), warmup_steps=max(1, warmup), **spec_kwargs(policy, floor_lr=float)
+    )
+
+
+def _one_cycle(policy: dict[str, Any], batches_per_epoch: int) -> OneCycle:
+    momentum_range = policy.get("momentum_range")
+    return OneCycle(
+        max_lr=float(policy["max_lr"]),
+        momentum_range=tuple(momentum_range) if momentum_range else None,
+        **spec_kwargs(policy, div_factor=float, final_div=float, up_frac=float, down_frac=float, final_frac=float),
+    )
+
+
+SCHEDULES = {
+    "constant": lambda policy, bpe: Constant(lr=float(policy["lr"])),
+    "step": _step_schedule,
+    "cosine": lambda policy, bpe: CosineDecay(seed_lr=float(policy["seed_lr"]), **_warmup(policy, bpe)),
+    "linear": lambda policy, bpe: LinearDecay(seed_lr=float(policy["seed_lr"]), **_warmup(policy, bpe)),
+    "inverse_sqrt": _inverse_sqrt,
+    "one_cycle": _one_cycle,
+    "trapezoid": lambda policy, bpe: Trapezoid(
+        max_lr=float(policy["max_lr"]), **spec_kwargs(policy, warm_frac=float, flat_frac=float, decay_frac=float)
+    ),
+}
+
+
 def schedule_from_policy(policy: dict[str, Any], batches_per_epoch: int) -> ScheduleSpec:
-    variant = policy.get("variant")
-
-    def warmup_steps():
-        if "warmup_epochs" in policy:
-            return int(round(float(policy["warmup_epochs"]) * batches_per_epoch))
-        return int(policy.get("warmup_steps", 0))
-
-    if variant == "constant":
-        return Constant(lr=float(policy["lr"]))
-    if variant == "step":
-        if "boundaries_epochs" in policy:
-            boundaries = tuple(int(round(float(b) * batches_per_epoch)) for b in policy["boundaries_epochs"])
-        else:
-            boundaries = tuple(int(b) for b in policy["boundaries"])
-        return StepSchedule(lrs=tuple(float(v) for v in policy["lrs"]), boundaries=boundaries)
-    if variant == "cosine":
-        return CosineDecay(seed_lr=float(policy["seed_lr"]), warmup_steps=warmup_steps())
-    if variant == "linear":
-        return LinearDecay(seed_lr=float(policy["seed_lr"]), warmup_steps=warmup_steps())
-    if variant == "inverse_sqrt":
-        return InverseSqrt(
-            peak_lr=float(policy["peak_lr"]),
-            warmup_steps=max(1, warmup_steps()),
-            floor_lr=float(policy.get("floor_lr", 0.0)),
-        )
-    if variant == "one_cycle":
-        momentum_range = policy.get("momentum_range")
-        return OneCycle(
-            max_lr=float(policy["max_lr"]),
-            div_factor=float(policy.get("div_factor", 10.0)),
-            final_div=float(policy.get("final_div", 10.0)),
-            up_frac=float(policy.get("up_frac", 0.45)),
-            down_frac=float(policy.get("down_frac", 0.45)),
-            final_frac=float(policy.get("final_frac", 0.10)),
-            momentum_range=tuple(momentum_range) if momentum_range else None,
-        )
-    if variant == "trapezoid":
-        return Trapezoid(
-            max_lr=float(policy["max_lr"]),
-            warm_frac=float(policy.get("warm_frac", 0.10)),
-            flat_frac=float(policy.get("flat_frac", 0.80)),
-            decay_frac=float(policy.get("decay_frac", 0.10)),
-        )
-    raise ConfigError(f"unknown schedule variant {variant!r}")
+    return SCHEDULES[policy["variant"]](policy, batches_per_epoch)
 
 
 class TrainingRun:
@@ -209,9 +216,9 @@ class TrainingRun:
         self.dataset = make_dataset(cfg.dataset)
         minibatch_size = int(cfg.optimizer.get("minibatch_size", 32))
         init_stream = RngStream(self.seed, "init")
-        self.model = build_model(cfg.model, self.dataset, init_stream.generator)
+        self.model = MODELS[cfg.model["kind"]](cfg.model, self.dataset, init_stream.generator)
         self.engine = TrainingEngine(self.model, self.dataset, minibatch_size, self.seed)
-        self.optimizer = build_optimizer(cfg.optimizer)
+        self.optimizer = OPTIMIZERS[cfg.optimizer["kind"]](cfg.optimizer)
         self.total_steps = cfg.epochs * self.engine.batches_per_epoch
         if self.total_steps < 1:
             raise InvalidArgumentError("run has no steps; dataset smaller than one minibatch?")

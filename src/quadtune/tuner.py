@@ -228,6 +228,45 @@ def saturation_check(
 
 
 @dataclass
+class ProbeRound:
+    """Losses probed around one learning rate on one fixed superbatch."""
+
+    loss_at_zero: float
+    bound: float
+    samples: list[LossSample]
+    fit: Optional[QuadFit]
+    evaluations: int
+
+
+def probe_round(
+    engine: TrainingEngine, direction, eta: float, sb: Superbatch, r: float, n_probes: int, span_fraction: float
+) -> ProbeRound:
+    """Superbatch losses at eta + eps along direction, and their quadratic fit.
+
+    The loss at eta sets the trust-region bound on |eps|; a non-finite or
+    zero loss there ends the round with no samples. Non-finite probes are
+    dropped, and the fit is None when fewer than 3 distinct epsilons remain.
+    ``evaluations`` counts the superbatch losses computed.
+    """
+    loss_at_zero = engine.perturbed_loss(direction, eta, sb)
+    bound = epsilon_bound(r, max(loss_at_zero, 0.0)) if math.isfinite(loss_at_zero) else 0.0
+    if bound <= 0.0:
+        return ProbeRound(loss_at_zero, bound, [], None, 1)
+
+    samples, evaluations = [], 1
+    for eps in probe_points(eta, bound, n_probes, span_fraction):
+        if eps == 0.0:
+            loss = loss_at_zero
+        else:
+            loss = engine.perturbed_loss(direction, eta + eps, sb)
+            evaluations += 1
+        if math.isfinite(loss):
+            samples.append(LossSample(epsilon=eps, loss=loss))
+    fit = fit_quadratic(samples) if len({s.epsilon for s in samples}) >= 3 else None
+    return ProbeRound(loss_at_zero, bound, samples, fit, evaluations)
+
+
+@dataclass
 class _Window:
     superbatch: Superbatch
     start_loss: float
@@ -299,39 +338,26 @@ class LearningRateTuner:
         sb = self.engine.draw_superbatch(cfg.superbatch_size)
         eta = st.current_lr
 
-        loss_at_zero = self.engine.perturbed_loss(direction, eta, sb)
-        st.counters.probe_forward_passes += sb.size_in_minibatches
-        if not math.isfinite(loss_at_zero):
-            st.counters.rejects_other += 1
-            logger.warning("step %d: probe at current lr is non-finite; keeping lr", step)
-            self._log_recompute(step, sb, eta, 0.0, [], None, None, None)
-            return EVENT_REJECT_OTHER
-
-        bound = epsilon_bound(cfg.epsilon_threshold_r, max(loss_at_zero, 0.0))
+        probe = probe_round(
+            self.engine, direction, eta, sb, cfg.epsilon_threshold_r, cfg.n_probes, cfg.span_fraction
+        )
+        st.counters.probe_forward_passes += probe.evaluations * sb.size_in_minibatches
+        bound, samples, fit = probe.bound, probe.samples, probe.fit
         if bound <= 0.0:
             st.counters.rejects_other += 1
+            if not math.isfinite(probe.loss_at_zero):
+                logger.warning("step %d: probe at current lr is non-finite; keeping lr", step)
             self._log_recompute(step, sb, eta, bound, [], None, None, None)
             return EVENT_REJECT_OTHER
-
-        samples = []
-        for eps in probe_points(eta, bound, cfg.n_probes, cfg.span_fraction):
-            if eps == 0.0:
-                loss = loss_at_zero
-            else:
-                loss = self.engine.perturbed_loss(direction, eta + eps, sb)
-                st.counters.probe_forward_passes += sb.size_in_minibatches
-            if math.isfinite(loss):
-                samples.append(LossSample(epsilon=eps, loss=loss))
         st.counters.recomputes += 1
 
-        if len({s.epsilon for s in samples}) < 3:
+        if fit is None:
             st.counters.rejects_other += 1
             logger.warning("step %d: too few finite probes for a fit; keeping lr", step)
             no_minimum = EpsilonProposal(ProposalKind.REJECT_NO_MINIMUM)
             self._log_recompute(step, sb, eta, bound, samples, None, no_minimum, no_minimum)
             return EVENT_REJECT_OTHER
 
-        fit = fit_quadratic(samples)
         proposal = propose_epsilon(fit, bound)
         filtered = phase_filter(st.phase, proposal)
 

@@ -244,3 +244,12 @@ class TestQuadcheckCommand:
             assert abs(float(measured) - float(fitted)) <= 1e-9 * max(1.0, abs(float(measured)))
         out = capsys.readouterr().out
         assert "quad_min:" in out
+
+    def test_schedule_policy_reads_probe_settings(self, tmp_path):
+        # Schedule runs take n_probes from lr_policy with the tuner's defaults.
+        for overrides, n_probes in [({}, 5), ({"n_probes": 7}, 7)]:
+            policy = dict({"kind": "schedule", "variant": "cosine", "seed_lr": 0.5}, **overrides)
+            path = write_config(tmp_path, schedule_raw(tmp_path, lr_policy=policy))
+            assert main(["quadcheck", "--config", path, "--at-step", "3", "--quiet"]) == 0
+            body = read_csv(os.path.join(str(tmp_path), "out", "quadcheck.csv"))[1:]
+            assert [r[3] for r in body] == ["0"] * n_probes + ["1"] * 4

@@ -22,8 +22,9 @@ def test_rng_streams_independent_and_replayable():
     first = c.generator.random(5)
     c.state = state
     assert np.array_equal(first, c.generator.random(5))
-    with pytest.raises(InvalidArgumentError):
-        RngStream(7, "weights")
+    for purpose in ("weights", "noise"):
+        with pytest.raises(InvalidArgumentError):
+            RngStream(7, purpose)
 
 
 def test_superbatch_normalizes_and_validates():

@@ -121,9 +121,12 @@ def test_different_seeds_differ():
 
 
 def test_explore_epochs_conversion():
-    policy = {"kind": "tuner", "seed_lr": 0.1, "explore_epochs": 2}
-    tc = tuner_config_from_policy(policy, total_steps=100, batches_per_epoch=10)
-    assert tc.explore_steps() == 20
+    # (explore_epochs, total_steps, batches_per_epoch, explore steps); 0.01 epochs of
+    # 50 batches is half a step, which rounds down to none rather than reading as a fraction.
+    for epochs, total, per_epoch, expected in [(2, 100, 10, 20), (0.01, 1500, 50, 0)]:
+        policy = {"kind": "tuner", "seed_lr": 0.1, "explore_epochs": epochs}
+        tc = tuner_config_from_policy(policy, total_steps=total, batches_per_epoch=per_epoch)
+        assert tc.explore_steps() == expected
 
 
 def test_step_schedule_boundaries_epochs_conversion():
