@@ -126,10 +126,6 @@ def cmd_sb_scan(args) -> int:
     engine = run.engine
     rows = []
     for size in sizes:
-        if size > engine.batches_per_epoch:
-            raise InvalidArgumentError(
-                f"superbatch size {size} x minibatch {engine.minibatch_size} exceeds the dataset"
-            )
         losses = [engine.superbatch_loss(engine.draw_superbatch(size)) for _ in range(args.trials)]
         rows.append([str(size), _fmt(summarize(losses).stddev)])
         if not args.quiet:

@@ -83,46 +83,6 @@ class LinearRegression(Model):
         return grad
 
 
-class LogisticRegression(Model):
-    """Multinomial logistic regression with softmax cross-entropy loss."""
-
-    task = TASK_CLASSIFICATION
-
-    def __init__(self, n_features: int, n_classes: int):
-        if n_classes < 2:
-            raise InvalidArgumentError("need at least 2 classes")
-        super().__init__(n_features * n_classes + n_classes)
-        self.n_features = n_features
-        self.n_classes = n_classes
-
-    def _unpack(self):
-        k = self.n_features * self.n_classes
-        w = self.params[:k].reshape(self.n_features, self.n_classes)
-        b = self.params[k:]
-        return w, b
-
-    def logits(self, x):
-        w, b = self._unpack()
-        return x @ w + b
-
-    def predict(self, x):
-        return self.logits(x).argmax(axis=1)
-
-    def loss(self, x, y):
-        return _cross_entropy(self.logits(x), y)
-
-    def gradient(self, x, y):
-        n = x.shape[0]
-        p = _softmax(self.logits(x))
-        p[np.arange(n), y] -= 1.0
-        p /= n
-        grad = np.empty_like(self.params)
-        k = self.n_features * self.n_classes
-        grad[:k] = (x.T @ p).reshape(-1)
-        grad[k:] = p.sum(axis=0)
-        return grad
-
-
 class Mlp(Model):
     """Fully connected ReLU network via manual backpropagation.
 
@@ -226,6 +186,15 @@ class Mlp(Model):
             if i > 0:
                 delta = (delta @ w.T) * (pre[i - 1] > 0.0)
         return grad
+
+
+class LogisticRegression(Mlp):
+    """Multinomial logistic regression: a one-layer, zero-initialised softmax Mlp."""
+
+    def __init__(self, n_features: int, n_classes: int):
+        if n_classes < 2:
+            raise InvalidArgumentError("need at least 2 classes")
+        super().__init__([n_features, n_classes])
 
 
 class QuadraticBowl(Model):

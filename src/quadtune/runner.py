@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
@@ -39,19 +39,6 @@ from .tuner import LearningRateTuner, TunerConfig
 if TYPE_CHECKING:
     from .config import RunConfig
 
-CSV_COLUMNS = [
-    "step",
-    "epoch",
-    "lr",
-    "train_loss",
-    "superbatch_loss",
-    "test_loss",
-    "test_acc",
-    "probe_fwd",
-    "event",
-]
-
-
 @dataclass
 class RunRecord:
     """One per-step log row of a training trace."""
@@ -64,20 +51,13 @@ class RunRecord:
     test_loss: Optional[float]
     test_acc: Optional[float]
     probe_fwd: int
-    event: str
+    event: str  # ";"-joined tags, in the order they happened
 
     def to_csv_row(self) -> list[str]:
-        return [
-            str(self.step),
-            str(self.epoch),
-            _fmt(self.lr),
-            _fmt(self.train_loss),
-            _fmt(self.superbatch_loss),
-            _fmt(self.test_loss),
-            _fmt(self.test_acc),
-            str(self.probe_fwd),
-            self.event,
-        ]
+        return [_fmt(getattr(self, name)) for name in CSV_COLUMNS]
+
+
+CSV_COLUMNS = [f.name for f in fields(RunRecord)]
 
 
 def _fmt(value) -> str:
@@ -135,13 +115,15 @@ OPTIMIZERS = {
 
 
 def tuner_config_from_policy(policy: dict[str, Any], total_steps: int, batches_per_epoch: int) -> TunerConfig:
-    """TunerConfig from an lr_policy; an explore budget in steps or epochs is floored to whole steps."""
-    if "explore_steps" in policy:
-        explore = {"explore_budget": math.floor(float(policy["explore_steps"]))}
-    elif "explore_epochs" in policy:
-        explore = {"explore_budget": math.floor(float(policy["explore_epochs"]) * batches_per_epoch)}
-    else:
-        explore = spec_kwargs(policy, explore_fraction=("explore_budget", float))
+    """TunerConfig from an lr_policy; the explore budget is floored to whole steps.
+
+    ``explore_steps`` wins over ``explore_epochs``, which wins over ``explore_fraction``.
+    """
+    explore = {}
+    for key, unit in (("explore_steps", 1), ("explore_epochs", batches_per_epoch), ("explore_fraction", total_steps)):
+        if key in policy:
+            explore = {"explore_budget": math.floor(float(policy[key]) * unit)}
+            break
     return TunerConfig(
         seed_lr=float(policy["seed_lr"]),
         total_steps=total_steps,
@@ -244,7 +226,7 @@ class TrainingRun:
             lr = outcome.lr
             train_loss = outcome.train_loss
             sb_loss = outcome.superbatch_loss
-            event = outcome.event
+            event = ";".join(outcome.events)
             probe_fwd = self.tuner.state.counters.probe_forward_passes
         else:
             lr = lr_at(self.schedule, step, self.total_steps)
@@ -274,10 +256,6 @@ class TrainingRun:
         self.records.append(record)
         self._step += 1
         return record
-
-    @property
-    def current_step(self) -> int:
-        return self._step
 
     def advance_to(self, step: int) -> None:
         while self._step < step:

@@ -37,14 +37,12 @@ class StepSchedule:
 class CosineDecay:
     seed_lr: float
     warmup_steps: int = 0
-    total: Optional[int] = None
 
 
 @dataclass(frozen=True)
 class LinearDecay:
     seed_lr: float
     warmup_steps: int = 0
-    total: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -109,11 +107,10 @@ def lr_at(spec: ScheduleSpec, step: int, total_steps: int) -> float:
         return spec.lrs[bisect.bisect_right(spec.boundaries, step)]
 
     if isinstance(spec, (CosineDecay, LinearDecay)):
-        total = spec.total if spec.total is not None else total_steps
         w = spec.warmup_steps
         if step < w:
             return _warmup_lr(step, w, spec.seed_lr)
-        progress = (step - w) / (total - w)
+        progress = (step - w) / (total_steps - w)
         if isinstance(spec, CosineDecay):
             return spec.seed_lr * 0.5 * (1.0 + math.cos(math.pi * progress))
         return spec.seed_lr * (1.0 - progress)

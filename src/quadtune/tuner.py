@@ -5,8 +5,8 @@ perturbations of the current learning rate (same superbatch for every probe),
 fits a quadratic, and applies the bounded minimizing perturbation if the
 current phase admits it: the explore phase only accepts increases, the
 exploit phase only decreases, and decreases are additionally gated on the
-loss-drop rate having saturated. Accepted changes are snapshotted and rolled
-back if the drop rate degrades over the following window.
+loss-drop rate having saturated. With rollback enabled, accepted changes are
+snapshotted and rolled back if the drop rate degrades over the following window.
 """
 
 from __future__ import annotations
@@ -36,23 +36,12 @@ logger = logging.getLogger(__name__)
 # Floor for drop rates used as denominators / frozen absolute thresholds.
 _TINY_RATE = 1e-12
 
-EVENT_NONE = ""
 EVENT_ACCEPT = "recompute_accept"
 EVENT_REJECT_PHASE = "recompute_reject_phase"
 EVENT_REJECT_SATURATION = "recompute_reject_saturation"
 EVENT_REJECT_OTHER = "recompute_reject_other"
 EVENT_ROLLBACK = "rollback"
 EVENT_PHASE_SWITCH = "phase_switch"
-
-# When several events coincide on one step, the trace keeps the first match.
-EVENT_PRIORITY = [
-    EVENT_ROLLBACK,
-    EVENT_ACCEPT,
-    EVENT_REJECT_PHASE,
-    EVENT_REJECT_SATURATION,
-    EVENT_REJECT_OTHER,
-    EVENT_PHASE_SWITCH,
-]
 
 
 class Phase(enum.Enum):
@@ -153,7 +142,7 @@ class TunerState:
 
 @dataclass
 class RecomputeRecord:
-    """Debug/inspection record for one probe round."""
+    """Debug/inspection record for one probe round; each verdict fills in what it reached."""
 
     step: int
     superbatch: Superbatch
@@ -161,9 +150,9 @@ class RecomputeRecord:
     bound: float
     samples: list[LossSample]
     fit: Optional[QuadFit]
-    proposal: Optional[EpsilonProposal]
-    filtered: Optional[EpsilonProposal]
-    applied_epsilon: Optional[float]
+    proposal: Optional[EpsilonProposal] = None
+    filtered: Optional[EpsilonProposal] = None
+    applied_epsilon: Optional[float] = None
 
 
 @dataclass
@@ -172,13 +161,6 @@ class StepOutcome:
     lr: float
     train_loss: float
     superbatch_loss: Optional[float]
-
-    @property
-    def event(self) -> str:
-        for tag in EVENT_PRIORITY:
-            if tag in self.events:
-                return tag
-        return EVENT_NONE
 
 
 def phase_at(step: int, cfg: TunerConfig) -> Phase:
@@ -287,7 +269,6 @@ class LearningRateTuner:
         self.state = TunerState(phase=phase_at(0, cfg), current_lr=cfg.seed_lr)
         self.recompute_log: list[RecomputeRecord] = []
         self._window: Optional[_Window] = None
-        self._pending_rollback = False
         self._last_rate: Optional[float] = None
 
     # -- window bookkeeping ----------------------------------------------------
@@ -312,9 +293,7 @@ class LearningRateTuner:
     def maybe_rollback(self, rate_after: float) -> bool:
         """Revert the last accepted lr change if it degraded the drop rate."""
         st = self.state
-        if st.last_change_snapshot is None or not self.cfg.rollback_enabled:
-            return False
-        if st.drop_rate_before_change is None:
+        if st.last_change_snapshot is None or st.drop_rate_before_change is None:
             return False
         if rate_after >= self.cfg.rollback_factor * st.drop_rate_before_change:
             return False
@@ -342,67 +321,48 @@ class LearningRateTuner:
             self.engine, direction, eta, sb, cfg.epsilon_threshold_r, cfg.n_probes, cfg.span_fraction
         )
         st.counters.probe_forward_passes += probe.evaluations * sb.size_in_minibatches
-        bound, samples, fit = probe.bound, probe.samples, probe.fit
-        if bound <= 0.0:
+        record = RecomputeRecord(step, sb, eta, probe.bound, probe.samples, probe.fit)
+        self.recompute_log.append(record)
+        if probe.bound <= 0.0:
             st.counters.rejects_other += 1
             if not math.isfinite(probe.loss_at_zero):
                 logger.warning("step %d: probe at current lr is non-finite; keeping lr", step)
-            self._log_recompute(step, sb, eta, bound, [], None, None, None)
             return EVENT_REJECT_OTHER
         st.counters.recomputes += 1
 
-        if fit is None:
+        if probe.fit is None:
             st.counters.rejects_other += 1
             logger.warning("step %d: too few finite probes for a fit; keeping lr", step)
-            no_minimum = EpsilonProposal(ProposalKind.REJECT_NO_MINIMUM)
-            self._log_recompute(step, sb, eta, bound, samples, None, no_minimum, no_minimum)
+            record.proposal = record.filtered = EpsilonProposal(ProposalKind.REJECT_NO_MINIMUM)
             return EVENT_REJECT_OTHER
 
-        proposal = propose_epsilon(fit, bound)
-        filtered = phase_filter(st.phase, proposal)
-
+        record.proposal = propose_epsilon(probe.fit, probe.bound)
+        record.filtered = filtered = phase_filter(st.phase, record.proposal)
         if not filtered.is_applicable:
             st.counters.rejects_phase += 1
-            self._log_recompute(step, sb, eta, bound, samples, fit, proposal, filtered)
             return EVENT_REJECT_PHASE
 
         eps = filtered.epsilon
         if eta + eps <= 0.0:
             st.counters.rejects_other += 1
             logger.debug("step %d: proposal would drive lr nonpositive; rejected", step)
-            self._log_recompute(step, sb, eta, bound, samples, fit, proposal, filtered)
             return EVENT_REJECT_OTHER
 
-        st.last_change_snapshot = take_snapshot(
-            self.engine.model.params,
-            self.optimizer,
-            lr=eta,
-            step_index=step,
-            rng_cursor=self.engine.data_state(),
-        )
-        st.drop_rate_before_change = rate_before
+        if cfg.rollback_enabled:
+            st.last_change_snapshot = take_snapshot(
+                self.engine.model.params,
+                self.optimizer,
+                lr=eta,
+                step_index=step,
+                rng_cursor=self.engine.data_state(),
+            )
+            st.drop_rate_before_change = rate_before
         st.current_lr = eta + eps
         if st.saturation.mode is SaturationMode.RELATIVE:
             st.saturation = replace(st.saturation, reference_rate=None)
-        self._pending_rollback = self.cfg.rollback_enabled
         st.counters.accepts += 1
-        self._log_recompute(step, sb, eta, bound, samples, fit, proposal, filtered, applied=eps)
+        record.applied_epsilon = eps
         return EVENT_ACCEPT
-
-    def _log_recompute(self, step, sb, eta, bound, samples, fit, proposal, filtered, applied=None):
-        self.recompute_log.append(
-            RecomputeRecord(
-                step=step,
-                superbatch=sb,
-                eta=eta,
-                bound=bound,
-                samples=list(samples),
-                fit=fit,
-                proposal=proposal,
-                filtered=filtered,
-                applied_epsilon=applied,
-            )
-        )
 
     # -- one training step ------------------------------------------------------------
 
@@ -415,8 +375,7 @@ class LearningRateTuner:
 
         if boundary and self._window is not None:
             rate = self._close_window(step)
-            if self._pending_rollback:
-                self._pending_rollback = False
+            if st.last_change_snapshot is not None:
                 if self.maybe_rollback(rate):
                     events.append(EVENT_ROLLBACK)
                     rolled_back = True

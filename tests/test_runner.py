@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from quadtune.config import RunConfig
-from quadtune.errors import ConfigError
+from quadtune.errors import ConfigError, InvalidArgumentError
 from quadtune.runner import TrainingRun, aggregate_summaries, run_all_seeds, schedule_from_policy, tuner_config_from_policy
 from quadtune.schedules import CosineDecay, StepSchedule, lr_at
 
@@ -76,14 +76,31 @@ def test_tuner_events_match_counters():
     records = run.run()
     counts = {}
     for r in records:
-        if r.event:
-            counts[r.event] = counts.get(r.event, 0) + 1
+        for tag in filter(None, r.event.split(";")):
+            counts[tag] = counts.get(tag, 0) + 1
     c = run.tuner.state.counters
+    assert counts.get("phase_switch", 0) == 1
     assert counts.get("recompute_accept", 0) == c.accepts
     assert counts.get("recompute_reject_phase", 0) == c.rejects_phase
     assert counts.get("recompute_reject_saturation", 0) == c.rejects_saturation
     assert counts.get("recompute_reject_other", 0) == c.rejects_other
     assert counts.get("rollback", 0) == c.rollbacks
+
+
+def test_coincident_events_share_one_cell():
+    # 90 steps with explore fraction 0.3: the phase switch at step 27 falls on a
+    # window boundary, where the exploit phase's saturation gate also rejects.
+    policy = dict(tuner_cfg().lr_policy, recompute_window=9)
+    records = TrainingRun(tuner_cfg(lr_policy=policy), 1).run()
+    assert records[27].event == "phase_switch;recompute_reject_saturation"
+
+
+def test_rollback_disabled_keeps_no_snapshot():
+    policy = dict(tuner_cfg().lr_policy, rollback=False)
+    run = TrainingRun(tuner_cfg(lr_policy=policy), 1)
+    run.run()
+    assert run.tuner.state.counters.accepts > 0
+    assert run.tuner.state.last_change_snapshot is None
 
 
 def test_tuner_probe_fwd_column_is_cumulative():
@@ -121,12 +138,20 @@ def test_different_seeds_differ():
 
 
 def test_explore_epochs_conversion():
-    # (explore_epochs, total_steps, batches_per_epoch, explore steps); 0.01 epochs of
+    # (key, value, total_steps, batches_per_epoch, explore steps); 0.01 epochs of
     # 50 batches is half a step, which rounds down to none rather than reading as a fraction.
-    for epochs, total, per_epoch, expected in [(2, 100, 10, 20), (0.01, 1500, 50, 0)]:
-        policy = {"kind": "tuner", "seed_lr": 0.1, "explore_epochs": epochs}
+    for key, value, total, per_epoch, expected in [
+        ("explore_epochs", 2, 100, 10, 20),
+        ("explore_epochs", 0.01, 1500, 50, 0),
+        ("explore_fraction", 0.25, 1500, 50, 375),
+    ]:
+        policy = {"kind": "tuner", "seed_lr": 0.1, key: value}
         tc = tuner_config_from_policy(policy, total_steps=total, batches_per_epoch=per_epoch)
         assert tc.explore_steps() == expected
+    # A fraction of 1 would explore every step; it must not read as a 1-step budget.
+    with pytest.raises(InvalidArgumentError):
+        tuner_config_from_policy({"kind": "tuner", "seed_lr": 0.1, "explore_fraction": 1.0},
+                                 total_steps=1500, batches_per_epoch=50)
 
 
 def test_step_schedule_boundaries_epochs_conversion():

@@ -276,7 +276,6 @@ class TestRollback:
         )
         st.drop_rate_before_change = tuner._last_rate
         st.current_lr = lr_before * 100.0
-        tuner._pending_rollback = True
         tuner._window = None  # force a fresh window at the injected lr
 
         outcomes = []
@@ -346,7 +345,6 @@ class TestRollbackBitExact:
         st.last_change_snapshot = snap
         st.drop_rate_before_change = 10.0  # any healthy rate; the bad lr will miss it
         st.current_lr = 2.0
-        tuner._pending_rollback = True
         tuner._window = None
         snapshot_bytes = snap.params.tobytes()
         for step in range(6, 12):
