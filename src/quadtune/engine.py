@@ -117,12 +117,23 @@ class TrainingEngine:
         return self.model.loss_and_gradient(x, y)
 
     def superbatch_loss(self, sb: Superbatch) -> float:
-        """Unweighted mean of minibatch losses over the superbatch."""
+        """Unweighted mean of minibatch losses over the superbatch.
+
+        All its rows are gathered at once and the model evaluates them as
+        stacked minibatches (`Model.minibatch_losses`). The losses are added
+        in index order, as a loop of `forward_loss` over each `minibatch`
+        would add them; it still counts one forward pass per minibatch.
+        """
+        indices = sb.minibatch_indices
+        if indices[0] < 0 or indices[-1] >= self.batches_per_epoch:
+            raise InvalidArgumentError("minibatch index out of range")
+        size = self.minibatch_size
+        rows = self._perm[: self.batches_per_epoch * size].reshape(-1, size)[list(indices)].reshape(-1)
+        self.forward_passes += len(indices)
         total = 0.0
-        for i in sb.minibatch_indices:
-            x, y = self.minibatch(i)
-            total += self.forward_loss(x, y)
-        return total / sb.size_in_minibatches
+        for loss in self.model.minibatch_losses(self.dataset.train_x[rows], self.dataset.train_y[rows], size):
+            total += float(loss)
+        return total / len(indices)
 
     def perturbed_loss(self, direction: np.ndarray, step_size: float, sb: Superbatch) -> float:
         """Superbatch loss at params - step_size*direction; params restored bit-exactly.

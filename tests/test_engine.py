@@ -45,8 +45,19 @@ def test_superbatch_of_one_equals_forward_loss():
 
 def test_superbatch_is_mean_of_minibatch_losses():
     engine = make_engine()
-    losses = [engine.forward_loss(*engine.minibatch(i)) for i in (0, 1)]
-    assert engine.superbatch_loss(Superbatch([0, 1])) == pytest.approx(np.mean(losses), rel=1e-15)
+    indices = [7, 0, 3, 15, 9, 1, 12, 4, 10, 6, 13, 2]
+    total = 0.0
+    for i in sorted(indices):
+        total += engine.forward_loss(*engine.minibatch(i))
+    assert engine.superbatch_loss(Superbatch(indices)) == total / len(indices)
+
+
+def test_superbatch_index_out_of_range_is_rejected():
+    engine = make_engine()  # 16 train batches
+    engine.superbatch_loss(Superbatch([engine.batches_per_epoch - 1]))
+    for indices in ([engine.batches_per_epoch], [999], [0, 999], [-1, 3]):
+        with pytest.raises(InvalidArgumentError):
+            engine.superbatch_loss(Superbatch(indices))
 
 
 def test_superbatch_value_order_invariant():

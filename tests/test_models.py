@@ -109,3 +109,62 @@ def test_mlp_seeded_init_deterministic():
     a = Mlp([2, 8, 2], rng=np.random.default_rng(42))
     b = Mlp([2, 8, 2], rng=np.random.default_rng(42))
     assert np.array_equal(a.params, b.params)
+
+
+def _groups_loop(model, x, y, size):
+    return [model.loss(x[i : i + size], y[i : i + size]) for i in range(0, len(x), size)]
+
+
+@pytest.mark.parametrize(
+    "make, size, groups",
+    [
+        (lambda rng: Mlp([3, 16, 8, 3], rng=rng), 32, 10),
+        (lambda rng: Mlp([3, 12, 1], task="regression", rng=rng), 16, 7),
+        # 65536 // (1024 * 32) = 2 minibatches per block: 7 groups span 4 blocks.
+        (lambda rng: Mlp([3, 1024, 2], rng=rng), 32, 7),
+        # One 96-row minibatch exceeds a block, so each block holds one.
+        (lambda rng: Mlp([3, 1024, 3], rng=rng), 96, 3),
+        (lambda rng: LogisticRegression(3, 4), 8, 5),
+        (lambda rng: LinearRegression(3), 16, 9),
+    ],
+    ids=["mlp", "mlp_regression", "mlp_4_blocks", "mlp_block_per_minibatch", "logreg", "linreg"],
+)
+def test_minibatch_losses_equal_a_loop_of_loss(make, size, groups):
+    rng = np.random.default_rng(5)
+    model = make(rng)
+    model.params[:] += rng.normal(scale=0.1, size=model.params.size)
+    x = rng.normal(size=(size * groups, 3))
+    if model.task == "classification":
+        y = rng.integers(0, model.layer_sizes[-1], size=len(x))
+    else:
+        y = rng.normal(size=len(x))
+    losses = model.minibatch_losses(x, y, size)
+    assert losses.tolist() == _groups_loop(model, x, y, size)
+
+
+def test_stacked_forward_runs_in_blocks_of_whole_minibatches():
+    model = Mlp([3, 1024, 2])
+    rows = []
+    forward = model._forward
+    model._forward = lambda x, keep_inputs=False: rows.append(len(x)) or forward(x, keep_inputs)
+    model.minibatch_losses(np.zeros((7 * 32, 3)), np.zeros(7 * 32, dtype=int), 32)
+    assert rows == [64, 64, 64, 32]  # 65536 // 1024 = 64 rows per block
+    rows.clear()
+    model.minibatch_losses(np.zeros((3 * 96, 3)), np.zeros(3 * 96, dtype=int), 96)
+    assert rows == [96, 96, 96]  # a minibatch wider than a block is one block
+
+
+def test_bowl_minibatch_losses_equal_a_loop_of_loss():
+    bowl = QuadraticBowl([1.0, 10.0], theta0=[0.5, -2.0])
+    x, y = np.zeros((12, 1)), np.zeros(12)
+    assert bowl.minibatch_losses(x, y, 4).tolist() == _groups_loop(bowl, x, y, 4) == [20.125] * 3
+
+
+def test_mlp_fused_loss_equals_lean_forward_loss():
+    rng = np.random.default_rng(9)
+    for model, y in (
+        (Mlp([3, 8, 4, 3], rng=rng), rng.integers(0, 3, size=16)),
+        (Mlp([3, 6, 1], task="regression", rng=rng), rng.normal(size=16)),
+    ):
+        x = rng.normal(size=(16, 3))
+        assert model.loss_and_gradient(x, y)[0] == model.loss(x, y)

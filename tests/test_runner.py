@@ -3,6 +3,7 @@ import pytest
 
 from quadtune.config import RunConfig
 from quadtune.errors import ConfigError, InvalidArgumentError
+from quadtune.models import Mlp, Model
 from quadtune.runner import TrainingRun, aggregate_summaries, run_all_seeds, schedule_from_policy, tuner_config_from_policy
 from quadtune.schedules import CosineDecay, StepSchedule, lr_at
 
@@ -135,6 +136,56 @@ def test_different_seeds_differ():
     a = TrainingRun(cfg, 1).run()
     b = TrainingRun(cfg, 2).run()
     assert a != b
+
+
+def _wide_tuner_cfg():
+    """A hidden layer of 1024 makes each 5-minibatch superbatch span 3 blocks."""
+    policy = {
+        "kind": "tuner", "seed_lr": 0.1, "explore_fraction": 0.3,
+        "recompute_window": 5, "superbatch_size": 5, "n_probes": 5,
+    }
+    return tuner_cfg(model={"kind": "mlp", "hidden": [1024]}, lr_policy=policy, epochs=3)
+
+
+def test_stacked_superbatch_losses_replay_the_minibatch_loop(monkeypatch):
+    cfg = _wide_tuner_cfg()
+    fast = TrainingRun(cfg, 1)
+    fast_records = fast.run()
+    monkeypatch.setattr(Mlp, "minibatch_losses", Model.minibatch_losses)
+    loop = TrainingRun(cfg, 1)
+    assert loop.run() == fast_records
+    assert loop.tuner.state.counters == fast.tuner.state.counters
+    assert fast.tuner.state.counters.recomputes > 0
+
+
+class RowCountingMlp(Mlp):
+    """Mlp that counts the rows through its forward pass."""
+
+    rows = 0
+
+    def _forward(self, x, keep_inputs=False):
+        self.rows += len(x)
+        return super()._forward(x, keep_inputs)
+
+
+def test_engine_forward_passes_count_the_rows_the_model_runs():
+    run = TrainingRun(_wide_tuner_cfg(), 1)
+    model = RowCountingMlp(run.model.layer_sizes)
+    model.params[:] = run.model.params
+    run.model = run.engine.model = model
+    evaluate = run.engine.test_metrics
+
+    def test_metrics_uncounted():
+        rows = model.rows
+        out = evaluate()
+        model.rows = rows
+        return out
+
+    run.engine.test_metrics = test_metrics_uncounted
+    run.run()
+    counters = run.tuner.state.counters
+    assert counters.probe_forward_passes > 0 and counters.window_forward_passes > 0
+    assert model.rows == run.engine.forward_passes * run.engine.minibatch_size
 
 
 def test_explore_epochs_conversion():
