@@ -143,13 +143,13 @@ class TrainingEngine:
         """
         saved = self.model.params.copy()
         try:
-            perturbed = saved - step_size * direction
-            if not np.all(np.isfinite(perturbed)):
-                return math.nan
-            self.model.params[:] = perturbed
-            # Divergent probes are expected to overflow; the non-finite value
-            # itself is the discard marker.
+            # Divergent probes are expected to overflow, in the perturbation
+            # or in the loss; the non-finite value itself is the discard marker.
             with np.errstate(over="ignore", invalid="ignore"):
+                perturbed = saved - step_size * direction
+                if not np.isfinite(perturbed).all():
+                    return math.nan
+                self.model.params[:] = perturbed
                 return self.superbatch_loss(sb)
         finally:
             self.model.params[:] = saved

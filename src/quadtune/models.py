@@ -2,9 +2,10 @@
 
 All models store their parameters in one flat float64 array (``params``) and
 implement mean per-example loss plus its exact gradient: squared error / 2
-for regression, softmax cross-entropy for classification. The quadratic bowl
-is a data-free objective on the parameters themselves, used as an analytic
-oracle in tests.
+for regression, softmax cross-entropy for classification. Means are written
+``x.sum() / n``, which is what ``np.mean`` computes, without its Python
+wrapper. The quadratic bowl is a data-free objective on the parameters
+themselves, used as an analytic oracle in tests.
 
 Superbatch losses come from `minibatch_losses`, which evaluates many
 equal-size minibatches from one stacked batch. Each group's value equals
@@ -75,19 +76,19 @@ class LinearRegression(Model):
 
     def loss(self, x, y):
         r = self.predict(x) - y
-        return float(np.mean(0.5 * r * r))
+        return float((0.5 * r * r).sum() / len(r))
 
     def gradient(self, x, y):
         n = x.shape[0]
         r = self.predict(x) - y
         grad = np.empty_like(self.params)
         grad[: self.n_features] = x.T @ r / n
-        grad[self.n_features] = r.mean()
+        grad[self.n_features] = r.sum() / n
         return grad
 
     def minibatch_losses(self, x, y, size):
         r = self.predict(x) - y
-        return (0.5 * r * r).reshape(-1, size).mean(axis=1)
+        return (0.5 * r * r).reshape(-1, size).sum(axis=1) / size
 
 
 class Mlp(Model):
@@ -96,6 +97,10 @@ class Mlp(Model):
     ``layer_sizes`` includes the input and output widths, e.g. [2, 64, 32, 2].
     Classification uses softmax cross-entropy on the final linear layer;
     regression uses mean 0.5*(pred - y)^2 with a single output unit.
+
+    The per-layer weight/bias views into ``params`` are built once, so
+    ``params`` must be written in place (``params[:] = v``), never rebound;
+    copies and unpickled models rebuild their views.
     """
 
     def __init__(
@@ -115,26 +120,29 @@ class Mlp(Model):
         self._shapes = [
             (layer_sizes[i], layer_sizes[i + 1]) for i in range(len(layer_sizes) - 1)
         ]
+        self._layers = self._split(self.params)
         if rng is not None:
-            self._he_init(rng)
+            for w, _ in self._layers:  # biases stay zero
+                w[:] = rng.normal(0.0, np.sqrt(2.0 / w.shape[0]), size=w.shape)
 
-    def _he_init(self, rng: np.random.Generator) -> None:
-        offset = 0
-        for fan_in, fan_out in self._shapes:
-            w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
-            self.params[offset : offset + fan_in * fan_out] = w.reshape(-1)
-            offset += fan_in * fan_out + fan_out  # biases stay zero
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["_layers"]  # a copy of a view no longer shares the copied params
+        return state
 
-    def _layers(self):
-        """Weight/bias views into the flat parameter vector."""
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._layers = self._split(self.params)
+
+    def _split(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-layer (weight, bias) views into a flat vector laid out like `params`."""
         out = []
         offset = 0
         for fan_in, fan_out in self._shapes:
-            w = self.params[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
+            w = flat[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
             offset += fan_in * fan_out
-            b = self.params[offset : offset + fan_out]
+            out.append((w, flat[offset : offset + fan_out]))
             offset += fan_out
-            out.append((w, b))
         return out
 
     def _forward(self, x, keep_inputs: bool = False):
@@ -144,7 +152,7 @@ class Mlp(Model):
         """
         inputs = []
         a = x
-        layers = self._layers()
+        layers = self._layers
         for i, (w, b) in enumerate(layers):
             if keep_inputs:
                 inputs.append(a)
@@ -162,11 +170,12 @@ class Mlp(Model):
             shifted = out - out.max(axis=1, keepdims=True)
             exp = np.exp(shifted)
             z = exp.sum(axis=1, keepdims=True)
-            rows = np.log(z[:, 0]) - shifted[np.arange(n), y]
+            picked = (np.arange(n), y)
+            rows = np.log(z[:, 0]) - shifted[picked]
             if not with_delta:
                 return rows, None
             delta = exp / z
-            delta[np.arange(n), y] -= 1.0
+            delta[picked] -= 1.0
         else:
             r = out[:, 0] - y
             rows = 0.5 * r * r
@@ -187,7 +196,7 @@ class Mlp(Model):
 
     def loss(self, x, y):
         rows, _ = self._row_losses(self.logits(x), y)
-        return float(np.mean(rows))
+        return float(rows.sum() / len(rows))
 
     def minibatch_losses(self, x, y, size):
         """One forward per block of whole minibatches (see BLOCK_ELEMENTS)."""
@@ -195,7 +204,7 @@ class Mlp(Model):
         losses = []
         for start in range(0, len(x), block):
             rows, _ = self._row_losses(self.logits(x[start : start + block]), y[start : start + block])
-            losses.append(rows.reshape(-1, size).mean(axis=1))
+            losses.append(rows.reshape(-1, size).sum(axis=1) / size)
         return np.concatenate(losses)
 
     def gradient(self, x, y):
@@ -205,21 +214,15 @@ class Mlp(Model):
         """Loss and gradient from one forward pass."""
         out, inputs = self._forward(x, keep_inputs=True)
         rows, delta = self._row_losses(out, y, with_delta=True)
-        grad = np.zeros_like(self.params)
-        layers = self._layers()
-        offset = len(self.params)
-        for i in range(len(layers) - 1, -1, -1):
-            w, _ = layers[i]
-            gw = inputs[i].T @ delta
-            gb = delta.sum(axis=0)
-            fan_in, fan_out = self._shapes[i]
-            offset -= fan_out
-            grad[offset : offset + fan_out] = gb
-            offset -= fan_in * fan_out
-            grad[offset : offset + fan_in * fan_out] = gw.reshape(-1)
+        grad = np.empty_like(self.params)
+        grads = self._split(grad)
+        for i in range(len(grads) - 1, -1, -1):
+            gw, gb = grads[i]
+            np.matmul(inputs[i].T, delta, out=gw)
+            delta.sum(axis=0, out=gb)
             if i > 0:
-                delta = (delta @ w.T) * (inputs[i] > 0.0)
-        return float(np.mean(rows)), grad
+                delta = (delta @ self._layers[i][0].T) * (inputs[i] > 0.0)
+        return float(rows.sum() / len(rows)), grad
 
 
 class LogisticRegression(Mlp):

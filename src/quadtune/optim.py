@@ -60,7 +60,7 @@ class Optimizer:
         grads = np.asarray(grads, dtype=np.float64)
         if grads.shape != np.asarray(params).shape:
             raise InvalidArgumentError("gradient shape does not match parameters")
-        if not np.all(np.isfinite(grads)):
+        if not np.isfinite(grads).all():
             raise InvalidGradientError("non-finite gradient")
         direction, payload = self._direction(np.asarray(params, dtype=np.float64), grads)
         return PendingStep(direction=direction, token=self._token, payload=payload)

@@ -217,7 +217,6 @@ class ProbeRound:
     bound: float
     samples: list[LossSample]
     fit: Optional[QuadFit]
-    evaluations: int
 
 
 def probe_round(
@@ -228,24 +227,19 @@ def probe_round(
     The loss at eta sets the trust-region bound on |eps|; a non-finite or
     zero loss there ends the round with no samples. Non-finite probes are
     dropped, and the fit is None when fewer than 3 distinct epsilons remain.
-    ``evaluations`` counts the superbatch losses computed.
     """
     loss_at_zero = engine.perturbed_loss(direction, eta, sb)
     bound = epsilon_bound(r, max(loss_at_zero, 0.0)) if math.isfinite(loss_at_zero) else 0.0
     if bound <= 0.0:
-        return ProbeRound(loss_at_zero, bound, [], None, 1)
+        return ProbeRound(loss_at_zero, bound, [], None)
 
-    samples, evaluations = [], 1
+    samples = []
     for eps in probe_points(eta, bound, n_probes, span_fraction):
-        if eps == 0.0:
-            loss = loss_at_zero
-        else:
-            loss = engine.perturbed_loss(direction, eta + eps, sb)
-            evaluations += 1
+        loss = loss_at_zero if eps == 0.0 else engine.perturbed_loss(direction, eta + eps, sb)
         if math.isfinite(loss):
             samples.append(LossSample(epsilon=eps, loss=loss))
     fit = fit_quadratic(samples) if len({s.epsilon for s in samples}) >= 3 else None
-    return ProbeRound(loss_at_zero, bound, samples, fit, evaluations)
+    return ProbeRound(loss_at_zero, bound, samples, fit)
 
 
 @dataclass
@@ -317,10 +311,13 @@ class LearningRateTuner:
         sb = self.engine.draw_superbatch(cfg.superbatch_size)
         eta = st.current_lr
 
+        # A probe whose perturbed parameters overflow runs no forward, so the
+        # engine's own count is the work done.
+        passes = self.engine.forward_passes
         probe = probe_round(
             self.engine, direction, eta, sb, cfg.epsilon_threshold_r, cfg.n_probes, cfg.span_fraction
         )
-        st.counters.probe_forward_passes += probe.evaluations * sb.size_in_minibatches
+        st.counters.probe_forward_passes += self.engine.forward_passes - passes
         record = RecomputeRecord(step, sb, eta, probe.bound, probe.samples, probe.fit)
         self.recompute_log.append(record)
         if probe.bound <= 0.0:

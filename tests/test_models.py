@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -168,3 +170,41 @@ def test_mlp_fused_loss_equals_lean_forward_loss():
     ):
         x = rng.normal(size=(16, 3))
         assert model.loss_and_gradient(x, y)[0] == model.loss(x, y)
+
+
+def test_forward_reads_the_params_after_assignment_deepcopy_and_pickle():
+    rng = np.random.default_rng(4)
+    model = Mlp([2, 8, 3], rng=rng)
+    x, y = rng.normal(size=(5, 2)), rng.integers(0, 3, size=5)
+    values = rng.normal(size=model.params.size)
+    reference = Mlp([2, 8, 3])
+    reference.params[:] = values
+    model.params[:] = values
+    assert model.logits(x).tolist() == reference.logits(x).tolist()
+    zero = Mlp([2, 8, 3])
+    for clone in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+        clone.params[:] = 0.0
+        assert clone.logits(x).tolist() == [[0.0] * 3] * 5
+        loss, grad = clone.loss_and_gradient(x, y)
+        assert loss == zero.loss(x, y) and grad.tolist() == zero.gradient(x, y).tolist()
+        assert model.logits(x).tolist() == reference.logits(x).tolist()
+
+
+@pytest.mark.parametrize("n", [1, 7, 16, 33])
+def test_means_equal_their_np_mean_forms(n):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(3 * n, 4))
+    linreg = LinearRegression(4)
+    linreg.params[:] = rng.normal(size=5)
+    y = rng.normal(size=3 * n)
+    r = linreg.predict(x[:n]) - y[:n]
+    assert linreg.loss(x[:n], y[:n]) == float(np.mean(0.5 * r * r))
+    assert linreg.gradient(x[:n], y[:n]).tolist() == [*(x[:n].T @ r / n), r.mean()]
+    r = linreg.predict(x) - y
+    assert linreg.minibatch_losses(x, y, n).tolist() == (0.5 * r * r).reshape(-1, n).mean(axis=1).tolist()
+    mlp = Mlp([4, 16, 3], rng=rng)
+    labels = rng.integers(0, 3, size=3 * n)
+    rows, _ = mlp._row_losses(mlp.logits(x), labels)
+    assert mlp.loss(x, labels) == float(np.mean(rows))
+    assert mlp.loss_and_gradient(x, labels)[0] == float(np.mean(rows))
+    assert mlp.minibatch_losses(x, labels, n).tolist() == rows.reshape(-1, n).mean(axis=1).tolist()

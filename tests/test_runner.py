@@ -158,6 +158,57 @@ def test_stacked_superbatch_losses_replay_the_minibatch_loop(monkeypatch):
     assert fast.tuner.state.counters.recomputes > 0
 
 
+def _reference_loss_and_gradient(self, x, y):
+    """Classification `Mlp.loss_and_gradient` written plainly: views rebuilt
+    from `params` on every call, `np.mean`, a zeroed gradient filled by copies."""
+    layers, offset = [], 0
+    for fan_in, fan_out in self._shapes:
+        w = self.params[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
+        offset += fan_in * fan_out
+        layers.append((w, self.params[offset : offset + fan_out]))
+        offset += fan_out
+    inputs, a = [], x
+    for i, (w, b) in enumerate(layers):
+        inputs.append(a)
+        a = a @ w + b
+        if i < len(layers) - 1:
+            a = np.maximum(a, 0.0)
+    n = len(x)
+    shifted = a - a.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    z = exp.sum(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(z[:, 0]) - shifted[np.arange(n), y]))
+    delta = exp / z
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    grad = np.zeros_like(self.params)
+    for i in range(len(layers) - 1, -1, -1):
+        w, b = layers[i]
+        offset -= b.size
+        grad[offset : offset + b.size] = delta.sum(axis=0)
+        offset -= w.size
+        grad[offset : offset + w.size] = (inputs[i].T @ delta).reshape(-1)
+        if i > 0:
+            delta = (delta @ w.T) * (inputs[i] > 0.0)
+    return loss, grad
+
+
+@pytest.mark.parametrize("policy", ["cosine", "tuner"])
+def test_lean_step_replays_the_reference_step(monkeypatch, policy):
+    overrides = {"model": {"kind": "mlp", "hidden": [16, 8]}}
+    if policy == "cosine":
+        overrides["lr_policy"] = {"kind": "schedule", "variant": "cosine", "seed_lr": 0.1}
+    cfg = tuner_cfg(**overrides)
+    lean = TrainingRun(cfg, 1)
+    lean_records = lean.run()
+    monkeypatch.setattr(Mlp, "loss_and_gradient", _reference_loss_and_gradient)
+    reference = TrainingRun(cfg, 1)
+    assert reference.run() == lean_records
+    if policy == "tuner":
+        assert reference.tuner.state.counters == lean.tuner.state.counters
+        assert lean.tuner.state.counters.recomputes > 0
+
+
 class RowCountingMlp(Mlp):
     """Mlp that counts the rows through its forward pass."""
 

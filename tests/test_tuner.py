@@ -259,6 +259,20 @@ class TestRecompute:
         assert event == EVENT_REJECT_OTHER
         assert tuner.state.current_lr == 0.05
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowed_probe_counts_no_forward_passes(self):
+        # At eta 1.15 the perturbed bias stays finite, so the loss at eta is
+        # measured; the largest probe, eta + 0.089, overflows and runs no forward.
+        engine = TrainingEngine(Mlp([2, 8, 2], rng=np.random.default_rng(0)), make_moons(n=400, seed=1), 32, seed=0)
+        cfg = TunerConfig(seed_lr=1.15, total_steps=100, superbatch_size=4, n_probes=5)
+        tuner = LearningRateTuner(cfg, engine, Sgd())
+        direction = engine.loss_and_gradient(*engine.batch_for_step(0))[1]
+        direction[16] = 1.5e308
+        passes = engine.forward_passes
+        tuner.recompute(0, direction, rate_before=None)
+        assert len(tuner.recompute_log[0].samples) == 4
+        assert tuner.state.counters.probe_forward_passes == engine.forward_passes - passes == 4 * 4
+
 
 class TestRollback:
     def test_adversarial_change_rolls_back(self):
