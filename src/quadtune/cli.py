@@ -17,7 +17,7 @@ from typing import Optional
 from .config import RunConfig
 from .errors import ConfigError, InvalidArgumentError, QuadtuneError
 from .quadprobe import propose_epsilon
-from .runner import CSV_COLUMNS, RunRecord, TrainingRun, _fmt, run_all_seeds, tuner_config_from_policy
+from .runner import CSV_COLUMNS, LR_POLICIES, RunRecord, TrainingRun, _fmt, run_all_seeds, tuner_config_from_policy
 from .schedules import lr_at, lr_range_test
 from .stats import summarize
 from .tuner import probe_round
@@ -146,8 +146,10 @@ def cmd_quadcheck(args) -> int:
     if run.tuner is not None:
         tc, eta = run.tuner.cfg, run.tuner.state.current_lr
     else:
+        # A schedule policy's only tuner keys are its probe settings and seed_lr, which eta replaces.
         eta = lr_at(run.schedule, args.at_step, run.total_steps)
-        tc = tuner_config_from_policy(dict(cfg.lr_policy, seed_lr=eta), run.total_steps, engine.batches_per_epoch)
+        probe = {key: value for key, value in cfg.lr_policy.items() if key in LR_POLICIES["tuner"][1]}
+        tc = tuner_config_from_policy(dict(probe, kind="tuner", seed_lr=eta), run.total_steps, engine.batches_per_epoch)
 
     x, y = engine.batch_for_step(args.at_step)
     _, grads = engine.loss_and_gradient(x, y)

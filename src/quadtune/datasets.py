@@ -1,4 +1,4 @@
-"""Dataset generation and ingestion.
+"""Dataset generation and ingestion, and the checker that reads config specs against key maps.
 
 Generators are fully seeded and deterministic, with an 80/20 train/test
 split. ``load_idx`` parses the big-endian IDX image/label format used by the
@@ -7,13 +7,15 @@ MNIST family of datasets.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import struct
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import DataConsistencyError, IdxFormatError, IdxReadError, InvalidArgumentError
+from .errors import ConfigError, DataConsistencyError, IdxFormatError, IdxReadError, InvalidArgumentError
 from .models import TASK_CLASSIFICATION, TASK_NONE, TASK_REGRESSION
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -122,37 +124,6 @@ def make_bowl_dataset(n: int = 256) -> Dataset:
     return _split(x, y, TASK_NONE)
 
 
-def spec_kwargs(spec: dict, **casts) -> dict:
-    """Keyword arguments for the keys of ``spec`` named in ``casts``, coerced.
-
-    Keys the spec leaves out are not passed, so the callee's own default
-    applies. A cast given as ``(name, fn)`` passes the key as argument ``name``.
-    """
-    kwargs = {}
-    for key, cast in casts.items():
-        if key in spec:
-            name, fn = cast if isinstance(cast, tuple) else (key, cast)
-            kwargs[name] = fn(spec[key])
-    return kwargs
-
-
-DATASETS = {
-    "blobs": lambda spec: make_blobs(**spec_kwargs(spec, n=int, k=int, sep=float, dim=int, seed=int)),
-    "moons": lambda spec: make_moons(**spec_kwargs(spec, n=int, noise=float, seed=int)),
-    "linreg": lambda spec: make_linear_regression(**spec_kwargs(spec, n=int, dim=int, noise=float, seed=int)),
-    "bowl": lambda spec: make_bowl_dataset(**spec_kwargs(spec, n=int)),
-    "idx": lambda spec: load_idx(spec["images"], spec["labels"]),
-}
-
-
-def make_dataset(spec: dict) -> Dataset:
-    """Build a dataset from a config mapping with a 'kind' discriminator."""
-    kind = spec.get("kind")
-    if kind not in DATASETS:
-        raise InvalidArgumentError(f"unknown dataset kind {kind!r}")
-    return DATASETS[kind](spec)
-
-
 def _read_exact(f, count: int, path: str) -> bytes:
     data = f.read(count)
     if len(data) != count:
@@ -206,3 +177,85 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
         task=TASK_CLASSIFICATION,
         num_classes=num_classes,
     )
+
+
+def _json_type(want) -> str:
+    return f"a list of {_json_type(want[0])}" if type(want) is list else want.__name__
+
+
+def _typed(value, want):
+    """value as JSON type want; a list type [t] gives a tuple. Raises TypeError on a mismatch."""
+    if type(want) is list:
+        if type(value) is list:
+            return tuple([_typed(v, want[0]) for v in value])
+    elif type(value) is want or (want is float and type(value) is int):
+        return want(value)
+    raise TypeError
+
+
+@functools.cache
+def _defaults(factory) -> tuple[set, set]:
+    """Arguments of factory with no default, and those whose default is None."""
+    params = inspect.signature(factory).parameters.values()
+    return {p.name for p in params if p.default is p.empty}, {p.name for p in params if p.default is None}
+
+
+def spec_args(where: str, spec, entry: tuple, **shared) -> dict:
+    """Keyword arguments for an entry's factory from a config spec, checked against its key map.
+
+    An entry is ``(factory, {key: type | (argument_name, type)})``; a type is int, float,
+    bool, str, dict, or ``[type]`` for a JSON array (passed as a tuple). Nothing is
+    coerced, except that a float takes a JSON integer. When two keys name one argument,
+    the later one in the map wins. Arguments without a default are required, and null
+    is taken only where the default is None. ``shared`` keys are checked, not passed.
+    """
+    if type(spec) is not dict:
+        raise ConfigError(f"{where} must be a JSON object")
+    factory, keys = entry
+    required, nullable = _defaults(factory)
+    args, found = {}, 0
+    for key, want in (*keys.items(), *shared.items()):
+        if key not in spec:
+            continue
+        found += 1
+        arg, want = want if type(want) is tuple else (key, want)
+        value = spec[key]
+        if type(value) is not want or want is dict:  # an exact scalar type passes as it is
+            try:
+                value = None if value is None and arg in nullable else _typed(value, want)
+            except (TypeError, OverflowError):
+                raise ConfigError(f"{where} key {key!r} must be {_json_type(want)}, not {value!r}") from None
+        if key in keys:
+            args[arg] = value
+    if found < len(spec):
+        raise ConfigError(f"unknown key {min(spec.keys() - keys.keys() - shared.keys())!r} in {where}")
+    for arg in required - args.keys():
+        given_by = [key for key, want in keys.items() if (want[0] if type(want) is tuple else key) == arg]
+        if given_by:
+            raise ConfigError(f"{where} requires {' or '.join(map(repr, given_by))}")
+    return args
+
+
+def kind_args(family: str, spec, table: dict, name_key: str = "kind", **shared) -> tuple:
+    """The factory that spec[name_key] names in a kind table, and its arguments from spec_args."""
+    name = spec.get(name_key) if type(spec) is dict else None
+    if type(name) is not str or name not in table:
+        raise ConfigError(f"unknown {family} {name_key} {name!r}")
+    return table[name][0], spec_args(f"{name} {family}", spec, table[name], **{name_key: str}, **shared)
+
+
+DATASETS = {
+    "blobs": (make_blobs, {"n": int, "k": int, "sep": float, "dim": int, "seed": int}),
+    "moons": (make_moons, {"n": int, "noise": float, "seed": int}),
+    "linreg": (make_linear_regression, {"n": int, "dim": int, "noise": float, "seed": int}),
+    "bowl": (make_bowl_dataset, {"n": int}),
+    "idx": (load_idx, {"images": ("images_path", str), "labels": ("labels_path", str)}),
+}
+
+
+def make_dataset(spec: dict) -> Dataset:
+    """Build a dataset from a config mapping with a 'kind' discriminator."""
+    if spec.get("kind") not in DATASETS:
+        raise InvalidArgumentError(f"unknown dataset kind {spec.get('kind')!r}")
+    factory, args = kind_args("dataset", spec, DATASETS)
+    return factory(**args)

@@ -9,7 +9,6 @@ RNG streams so runs and rollbacks are bit-reproducible.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import Any, Optional
@@ -38,11 +37,12 @@ class RngStream:
 
     @property
     def state(self) -> dict:
-        return copy.deepcopy(self.generator.bit_generator.state)
+        """A fresh dict on every read; setting it copies the values into the generator."""
+        return self.generator.bit_generator.state
 
     @state.setter
     def state(self, value: dict) -> None:
-        self.generator.bit_generator.state = copy.deepcopy(value)
+        self.generator.bit_generator.state = value
 
 
 @dataclass(frozen=True)

@@ -207,13 +207,13 @@ def take_snapshot(
     step_index: int,
     rng_cursor: Any = None,
 ) -> Snapshot:
-    """Deep-copied restore point for rollback."""
+    """Restore point for rollback: params and optimizer state are copied, ``rng_cursor`` is kept as given."""
     return Snapshot(
         params=np.array(params, dtype=np.float64, copy=True),
         opt_state=optimizer.state_dict(),
         lr=float(lr),
         step_index=int(step_index),
-        rng_cursor=copy.deepcopy(rng_cursor),
+        rng_cursor=rng_cursor,
     )
 
 

@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
-from .datasets import Dataset, make_dataset, spec_kwargs
+from .datasets import Dataset, kind_args, make_dataset
 from .engine import RngStream, TrainingEngine
 from .errors import ConfigError, InvalidArgumentError
 from .models import (
@@ -69,49 +69,79 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _build_logreg(spec: dict[str, Any], dataset: Dataset, rng: np.random.Generator) -> Model:
+def _classes(dataset: Dataset, model: str) -> int:
     if dataset.num_classes is None:
-        raise ConfigError("logreg model requires a classification dataset")
-    return LogisticRegression(dataset.n_features, dataset.num_classes)
+        raise ConfigError(f"{model} model requires a classification dataset")
+    return dataset.num_classes
 
 
-def _build_mlp(spec: dict[str, Any], dataset: Dataset, rng: np.random.Generator) -> Model:
-    hidden = [int(h) for h in spec.get("hidden", [32])]
-    task = spec.get("task") or dataset.task
-    if task == TASK_CLASSIFICATION:
-        if dataset.num_classes is None:
-            raise ConfigError("classification mlp requires a classification dataset")
-        sizes = [dataset.n_features] + hidden + [dataset.num_classes]
-    elif task == TASK_REGRESSION:
-        sizes = [dataset.n_features] + hidden + [1]
-    else:
+def _build_mlp(dataset: Dataset, rng: np.random.Generator, hidden=(32,), task=None) -> Model:
+    task = task or dataset.task
+    if task not in (TASK_CLASSIFICATION, TASK_REGRESSION):
         raise ConfigError(f"mlp cannot train on task {task!r}")
-    return Mlp(sizes, task=task, rng=rng)
+    n_out = _classes(dataset, "classification mlp") if task == TASK_CLASSIFICATION else 1
+    return Mlp([dataset.n_features, *hidden, n_out], task=task, rng=rng)
 
 
-def _build_bowl(spec: dict[str, Any], dataset: Dataset, rng: np.random.Generator) -> Model:
-    matrix = spec.get("matrix", spec.get("diag"))
-    if matrix is None:
-        raise ConfigError("bowl model requires 'matrix' or 'diag'")
-    return QuadraticBowl(np.asarray(matrix, dtype=np.float64), theta0=spec.get("theta0"))
-
-
+# Model factories take the dataset and the init generator before the spec's arguments.
 MODELS = {
-    "linreg": lambda spec, dataset, rng: LinearRegression(dataset.n_features),
-    "logreg": _build_logreg,
-    "mlp": _build_mlp,
-    "bowl": _build_bowl,
+    "linreg": (lambda dataset, rng: LinearRegression(dataset.n_features), {}),
+    "logreg": (lambda dataset, rng: LogisticRegression(dataset.n_features, _classes(dataset, "logreg")), {}),
+    "mlp": (_build_mlp, {"hidden": [int], "task": str}),
+    "bowl": (lambda dataset, rng, matrix, theta0=None: QuadraticBowl(matrix, theta0),
+             {"diag": ("matrix", [float]), "matrix": [[float]], "theta0": [float]}),
 }
-
-
-_ADAM_KEYS = dict(beta1=float, beta2=float, eps_stab=float, weight_decay=float)
 
 OPTIMIZERS = {
-    "sgd": lambda spec: Sgd(**spec_kwargs(spec, weight_decay=float)),
-    "momentum": lambda spec: Momentum(**spec_kwargs(spec, momentum=("mu", float), weight_decay=float)),
-    "adam": lambda spec: Adam(**spec_kwargs(spec, **_ADAM_KEYS)),
-    "adamw": lambda spec: AdamW(**spec_kwargs(spec, **_ADAM_KEYS)),
+    "sgd": (Sgd, {"weight_decay": float}),
+    "momentum": (Momentum, {"momentum": ("mu", float), "weight_decay": float}),
+    "adam": (Adam, {"beta1": float, "beta2": float, "eps_stab": float, "weight_decay": float}),
 }
+OPTIMIZERS["adamw"] = (AdamW, OPTIMIZERS["adam"][1])
+
+
+def optimizer_args(spec: dict[str, Any]) -> tuple:
+    """Optimizer factory and arguments; ``minibatch_size`` is read by the engine."""
+    return kind_args("optimizer", spec, OPTIMIZERS, minibatch_size=int)
+
+
+# Keyed by "tuner" or the schedule variant. Epoch and fraction keys name the
+# argument they are converted into; tuner_config_from_policy and
+# schedule_from_policy convert them, and they win over the step keys.
+LR_POLICIES = {
+    "tuner": (TunerConfig, {
+        "seed_lr": float, "explore_fraction": ("explore_budget", float),
+        "explore_epochs": ("explore_budget", float), "explore_steps": ("explore_budget", int),
+        "recompute_window": int, "superbatch_size": int, "n_probes": int,
+        "epsilon_threshold": ("epsilon_threshold_r", float), "span_fraction": float,
+        "saturation_threshold": ("saturation_threshold_rel", float),
+        "rollback": ("rollback_enabled", bool), "rollback_factor": float,
+    }),
+    "constant": (Constant, {"lr": float}),
+    "step": (StepSchedule, {"lrs": [float], "boundaries": [int], "boundaries_epochs": ("boundaries", [float])}),
+    "cosine": (CosineDecay, {"seed_lr": float, "warmup_steps": int, "warmup_epochs": ("warmup_steps", float)}),
+    "linear": (LinearDecay, {"seed_lr": float, "warmup_steps": int, "warmup_epochs": ("warmup_steps", float)}),
+    "inverse_sqrt": (InverseSqrt, {"peak_lr": float, "warmup_steps": int, "warmup_epochs": ("warmup_steps", float),
+                                   "floor_lr": float}),
+    "one_cycle": (OneCycle, {"max_lr": float, "div_factor": float, "final_div": float, "up_frac": float,
+                             "down_frac": float, "final_frac": float, "momentum_range": [float]}),
+    "trapezoid": (Trapezoid, {"max_lr": float, "warm_frac": float, "flat_frac": float, "decay_frac": float}),
+}
+
+
+def policy_args(policy: dict[str, Any]) -> tuple:
+    """Factory and arguments of an lr_policy: a tuner, or a schedule by its variant.
+
+    A schedule also takes the tuner's probe settings, which quadcheck reads.
+    """
+    kind = policy.get("kind") if type(policy) is dict else None
+    if kind == "tuner":
+        return kind_args("lr_policy", policy, LR_POLICIES)
+    if kind != "schedule" or policy.get("variant") == "tuner":
+        raise ConfigError("lr_policy must have kind 'tuner', or kind 'schedule' and a schedule variant")
+    tuner_keys = LR_POLICIES["tuner"][1]
+    probe = {key: tuner_keys[key] for key in ("superbatch_size", "n_probes", "epsilon_threshold", "span_fraction")}
+    return kind_args("lr_policy", policy, LR_POLICIES, "variant", kind=str, **probe)
 
 
 def tuner_config_from_policy(policy: dict[str, Any], total_steps: int, batches_per_epoch: int) -> TunerConfig:
@@ -119,74 +149,22 @@ def tuner_config_from_policy(policy: dict[str, Any], total_steps: int, batches_p
 
     ``explore_steps`` wins over ``explore_epochs``, which wins over ``explore_fraction``.
     """
-    explore = {}
+    _, args = policy_args(policy)
     for key, unit in (("explore_steps", 1), ("explore_epochs", batches_per_epoch), ("explore_fraction", total_steps)):
         if key in policy:
-            explore = {"explore_budget": math.floor(float(policy[key]) * unit)}
+            args["explore_budget"] = math.floor(args["explore_budget"] * unit)
             break
-    return TunerConfig(
-        seed_lr=float(policy["seed_lr"]),
-        total_steps=total_steps,
-        **explore,
-        **spec_kwargs(
-            policy,
-            recompute_window=int,
-            superbatch_size=int,
-            n_probes=int,
-            epsilon_threshold=("epsilon_threshold_r", float),
-            saturation_threshold=("saturation_threshold_rel", float),
-            span_fraction=float,
-            rollback=("rollback_enabled", bool),
-            rollback_factor=float,
-        ),
-    )
-
-
-def _warmup(policy: dict[str, Any], batches_per_epoch: int) -> dict[str, int]:
-    if "warmup_epochs" in policy:
-        return {"warmup_steps": int(round(float(policy["warmup_epochs"]) * batches_per_epoch))}
-    return spec_kwargs(policy, warmup_steps=int)
-
-
-def _step_schedule(policy: dict[str, Any], batches_per_epoch: int) -> StepSchedule:
-    if "boundaries_epochs" in policy:
-        boundaries = tuple(int(round(float(b) * batches_per_epoch)) for b in policy["boundaries_epochs"])
-    else:
-        boundaries = tuple(int(b) for b in policy["boundaries"])
-    return StepSchedule(lrs=tuple(float(v) for v in policy["lrs"]), boundaries=boundaries)
-
-
-def _inverse_sqrt(policy: dict[str, Any], batches_per_epoch: int) -> InverseSqrt:
-    warmup = _warmup(policy, batches_per_epoch).get("warmup_steps", 1)
-    return InverseSqrt(
-        peak_lr=float(policy["peak_lr"]), warmup_steps=max(1, warmup), **spec_kwargs(policy, floor_lr=float)
-    )
-
-
-def _one_cycle(policy: dict[str, Any], batches_per_epoch: int) -> OneCycle:
-    momentum_range = policy.get("momentum_range")
-    return OneCycle(
-        max_lr=float(policy["max_lr"]),
-        momentum_range=tuple(momentum_range) if momentum_range else None,
-        **spec_kwargs(policy, div_factor=float, final_div=float, up_frac=float, down_frac=float, final_frac=float),
-    )
-
-
-SCHEDULES = {
-    "constant": lambda policy, bpe: Constant(lr=float(policy["lr"])),
-    "step": _step_schedule,
-    "cosine": lambda policy, bpe: CosineDecay(seed_lr=float(policy["seed_lr"]), **_warmup(policy, bpe)),
-    "linear": lambda policy, bpe: LinearDecay(seed_lr=float(policy["seed_lr"]), **_warmup(policy, bpe)),
-    "inverse_sqrt": _inverse_sqrt,
-    "one_cycle": _one_cycle,
-    "trapezoid": lambda policy, bpe: Trapezoid(
-        max_lr=float(policy["max_lr"]), **spec_kwargs(policy, warm_frac=float, flat_frac=float, decay_frac=float)
-    ),
-}
+    return TunerConfig(total_steps=total_steps, **args)
 
 
 def schedule_from_policy(policy: dict[str, Any], batches_per_epoch: int) -> ScheduleSpec:
-    return SCHEDULES[policy["variant"]](policy, batches_per_epoch)
+    """ScheduleSpec from a schedule lr_policy; epoch keys are rounded to whole steps."""
+    factory, args = policy_args(policy)
+    if "warmup_epochs" in policy:
+        args["warmup_steps"] = round(args["warmup_steps"] * batches_per_epoch)
+    if "boundaries_epochs" in policy:
+        args["boundaries"] = tuple(round(b * batches_per_epoch) for b in args["boundaries"])
+    return factory(**args)
 
 
 class TrainingRun:
@@ -196,11 +174,11 @@ class TrainingRun:
         self.cfg = cfg
         self.seed = int(seed)
         self.dataset = make_dataset(cfg.dataset)
-        minibatch_size = int(cfg.optimizer.get("minibatch_size", 32))
-        init_stream = RngStream(self.seed, "init")
-        self.model = MODELS[cfg.model["kind"]](cfg.model, self.dataset, init_stream.generator)
-        self.engine = TrainingEngine(self.model, self.dataset, minibatch_size, self.seed)
-        self.optimizer = OPTIMIZERS[cfg.optimizer["kind"]](cfg.optimizer)
+        factory, args = kind_args("model", cfg.model, MODELS)
+        self.model = factory(self.dataset, RngStream(self.seed, "init").generator, **args)
+        factory, args = optimizer_args(cfg.optimizer)
+        self.optimizer = factory(**args)
+        self.engine = TrainingEngine(self.model, self.dataset, cfg.optimizer.get("minibatch_size", 32), self.seed)
         self.total_steps = cfg.epochs * self.engine.batches_per_epoch
         if self.total_steps < 1:
             raise InvalidArgumentError("run has no steps; dataset smaller than one minibatch?")

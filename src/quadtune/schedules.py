@@ -48,7 +48,7 @@ class LinearDecay:
 @dataclass(frozen=True)
 class InverseSqrt:
     peak_lr: float
-    warmup_steps: int
+    warmup_steps: int = 1
     floor_lr: float = 0.0
 
     def __post_init__(self):
@@ -71,6 +71,8 @@ class OneCycle:
     def __post_init__(self):
         if abs(self.up_frac + self.down_frac + self.final_frac - 1.0) > _FRACTION_TOL:
             raise InvalidArgumentError("one-cycle fractions must sum to 1")
+        if self.momentum_range is not None and len(self.momentum_range) != 2:
+            raise InvalidArgumentError("momentum_range must be (max_momentum, min_momentum)")
 
 
 @dataclass(frozen=True)

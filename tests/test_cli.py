@@ -1,13 +1,19 @@
 import csv
 import json
 import os
+import re
+import runpy
+from pathlib import Path
 
 import pytest
 
 from quadtune.cli import main
 from quadtune.config import RunConfig
+from quadtune.datasets import DATASETS
 from quadtune.errors import ConfigError
-from quadtune.runner import CSV_COLUMNS
+from quadtune.runner import CSV_COLUMNS, LR_POLICIES, MODELS, OPTIMIZERS
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, raw, name="cfg.json"):
@@ -84,6 +90,33 @@ class TestConfig:
             RunConfig.from_dict(schedule_raw(tmp_path, lr_policy={"kind": "schedule", "variant": "nope"}))
 
 
+    def test_shipped_configs_load(self):
+        # The README's example, its cosine variant and every benchmark workload
+        # go through the same key maps as any other config.
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        example = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+        cosine = json.loads(re.search(r'`(\{"kind": "schedule".*?\})`', readme).group(1))
+        assert RunConfig.from_dict(example).lr_policy["kind"] == "tuner"
+        assert RunConfig.from_dict(dict(example, lr_policy=cosine)).lr_policy["variant"] == "cosine"
+        workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["WORKLOADS"]
+        benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+        assert set(workloads) == {w["name"] for w in benchmark["workloads"]}
+        for workload in workloads.values():
+            RunConfig.from_dict(workload.config(11, "out"))
+
+    def test_readme_lists_every_key_of_every_kind(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        tables = {"dataset": DATASETS, "model": MODELS, "optimizer": OPTIMIZERS, "lr_policy": LR_POLICIES}
+        listed = {family: set() for family in tables}
+        for family, kinds, keys in re.findall(r"^\| (\w+) \| (.*?) \| (.*?) \|", readme, re.M):
+            if family not in tables:
+                continue
+            for kind in re.findall(r"`(\w+)`", kinds):
+                assert set(re.findall(r"`(\w+)`", keys)) == set(tables[family][kind][1]), (family, kind)
+                listed[family].add(kind)
+        assert listed == {family: set(table) for family, table in tables.items()}
+
+
 class TestTrainCommand:
     def test_writes_traces_and_summary(self, tmp_path):
         path = write_config(tmp_path, schedule_raw(tmp_path))
@@ -158,6 +191,60 @@ class TestExitCodes:
     def test_oversized_superbatch_scan_is_1(self, tmp_path):
         path = write_config(tmp_path, schedule_raw(tmp_path))
         assert main(["sb-scan", "--config", path, "--sizes", "1000", "--quiet"]) == 1
+
+
+COSINE = {"kind": "schedule", "variant": "cosine", "seed_lr": 0.1}
+
+# (family updated, or None for the top level; the update). Each one used to
+# train on defaults and exit 0, or to end in a KeyError or ValueError traceback.
+MALFORMED = [
+    pytest.param("lr_policy", {"rolback": False}, id="rolback"),
+    pytest.param("lr_policy", {"epsilon_treshold": 1.0}, id="epsilon_treshold"),
+    pytest.param("model", {"hiden": [4]}, id="hiden"),
+    pytest.param("optimizer", {"momentun": 0.9}, id="momentun"),
+    pytest.param("dataset", {"nn": 100}, id="nn"),
+    pytest.param(None, {"bogus_top": 1}, id="bogus_top"),
+    pytest.param("lr_policy", {"variant": "cosine"}, id="variant-in-tuner"),
+    pytest.param(None, {"lr_policy": dict(COSINE, recompute_window=5)}, id="recompute_window-in-cosine"),
+    pytest.param(None, {"lr_policy": {"kind": "tuner", "explore_fraction": 0.3}}, id="missing-seed_lr"),
+    pytest.param(None, {"lr_policy": {"kind": "schedule", "variant": "constant"}}, id="missing-constant-lr"),
+    pytest.param(None, {"dataset": {"kind": "idx", "labels": "labels.idx"}}, id="idx-without-images"),
+    pytest.param("dataset", {"n": "abc"}, id="n-string"),
+    pytest.param("model", {"hidden": "16"}, id="hidden-string"),
+    pytest.param("model", {"hidden": [1.5]}, id="hidden-float-element"),
+    pytest.param("lr_policy", {"rollback": "false"}, id="rollback-string"),
+    pytest.param("lr_policy", {"superbatch_size": 2.5}, id="superbatch_size-float"),
+    pytest.param(None, {"epochs": True}, id="epochs-bool"),
+    pytest.param(None, {"seeds": [True]}, id="seeds-bool"),
+    pytest.param(None, {"eval_every": True}, id="eval_every-bool"),
+    pytest.param(None, {"out_dir": None}, id="out_dir-null"),
+]
+
+
+@pytest.mark.parametrize("family,update", MALFORMED)
+def test_config_that_says_something_else_exits_1(tmp_path, capsys, family, update):
+    raw = tuner_raw(tmp_path)
+    (raw if family is None else raw[family]).update(update)
+    path = write_config(tmp_path, raw)
+    assert main(["train", "--config", path, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["train"],
+    ["sweep", "--values", "0.1"],
+    ["range-test", "--lr-min", "0.01", "--lr-max", "0.1"],
+    ["sb-scan", "--sizes", "1"],
+    ["quadcheck", "--at-step", "3"],
+], ids=lambda command: command[0])
+def test_every_command_rejects_an_unknown_key(tmp_path, capsys, command):
+    raw = tuner_raw(tmp_path)
+    raw["lr_policy"]["rolback"] = False
+    path = write_config(tmp_path, raw)
+    assert main([command[0], "--config", path, *command[1:], "--quiet"]) == 1
+    assert capsys.readouterr().err == "config error: unknown key 'rolback' in tuner lr_policy\n"
+    assert not os.path.exists(raw["out_dir"])
 
 
 class TestSweepCommand:

@@ -264,6 +264,56 @@ def test_step_schedule_boundaries_epochs_conversion():
     assert spec.boundaries == (3000, 6000)
 
 
+def test_epoch_keys_win_over_step_keys():
+    explore = {"explore_fraction": 0.5, "explore_epochs": 2, "explore_steps": 7}
+    tc = tuner_config_from_policy(dict(explore, kind="tuner", seed_lr=0.1), total_steps=100, batches_per_epoch=10)
+    assert tc.explore_steps() == 7
+    del explore["explore_steps"]
+    tc = tuner_config_from_policy(dict(explore, kind="tuner", seed_lr=0.1), total_steps=100, batches_per_epoch=10)
+    assert tc.explore_steps() == 20
+    spec = schedule_from_policy({"kind": "schedule", "variant": "cosine", "seed_lr": 0.1,
+                                 "warmup_epochs": 0.25, "warmup_steps": 3}, batches_per_epoch=10)
+    assert spec.warmup_steps == 2  # round(2.5) to even
+    spec = schedule_from_policy({"kind": "schedule", "variant": "step", "lrs": [0.1, 0.01],
+                                 "boundaries_epochs": [1.5], "boundaries": [4]}, batches_per_epoch=10)
+    assert spec.boundaries == (15,)
+
+
+def test_inverse_sqrt_warmup_defaults_to_one_step_and_rejects_zero():
+    policy = {"kind": "schedule", "variant": "inverse_sqrt", "peak_lr": 0.1}
+    assert schedule_from_policy(policy, batches_per_epoch=10).warmup_steps == 1
+    for warmup in ({"warmup_steps": 0}, {"warmup_epochs": 0.01}):
+        with pytest.raises(InvalidArgumentError):
+            schedule_from_policy(dict(policy, **warmup), batches_per_epoch=10)
+
+
+def test_float_keys_take_json_integers_as_floats():
+    # An integer lr must still be written to the trace as a float ("1.0").
+    spec = schedule_from_policy({"kind": "schedule", "variant": "constant", "lr": 1}, batches_per_epoch=10)
+    assert spec.lr == 1.0 and type(spec.lr) is float
+    tc = tuner_config_from_policy({"kind": "tuner", "seed_lr": 1}, total_steps=100, batches_per_epoch=10)
+    assert type(tc.seed_lr) is float and type(tc.rollback_enabled) is bool
+
+
+def test_null_is_taken_only_where_the_default_is_none():
+    bowl = {"kind": "bowl", "diag": [1.0, 10.0], "theta0": None}
+    run = TrainingRun(schedule_cfg(model=bowl, dataset={"kind": "bowl", "n": 64}), 1)
+    assert run.model.params.tolist() == [1.0, 1.0]
+    policy = {"kind": "schedule", "variant": "one_cycle", "max_lr": 0.5, "momentum_range": None}
+    assert schedule_from_policy(policy, batches_per_epoch=10).momentum_range is None
+    assert schedule_cfg(model={"kind": "mlp", "task": None}).model["task"] is None
+    with pytest.raises(ConfigError, match="hidden"):
+        schedule_cfg(model={"kind": "mlp", "hidden": None})
+    with pytest.raises(ConfigError, match="weight_decay"):
+        schedule_cfg(optimizer={"kind": "sgd", "weight_decay": None})
+
+
+def test_bowl_matrix_wins_over_diag():
+    model = {"kind": "bowl", "diag": [1.0, 10.0], "matrix": [[2.0, 0.0], [0.0, 3.0]]}
+    run = TrainingRun(schedule_cfg(model=model, dataset={"kind": "bowl", "n": 64}), 1)
+    assert run.model.matrix.tolist() == [[2.0, 0.0], [0.0, 3.0]]
+
+
 def test_unknown_model_kind_is_config_error():
     cfg = schedule_cfg()
     cfg.model = {"kind": "mlp", "task": "none"}
