@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -40,6 +41,17 @@ def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+def _positive_list(text: str, kind: type, flag: str) -> list:
+    """Comma-separated positive finite numbers of one kind; anything else is a ConfigError."""
+    try:
+        values = [kind(v) for v in text.split(",") if v]
+    except ValueError:
+        values = []
+    if not values or not all(0 < v < math.inf for v in values):
+        raise ConfigError(f"{flag} must be comma-separated positive numbers, not {text!r}")
+    return values
 
 
 def _load_config(args) -> RunConfig:
@@ -80,13 +92,9 @@ def _sweep_metric(per_seed: list[dict]) -> list[float]:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    if args.field != "seed_lr":
-        raise ConfigError("only --field seed_lr sweeps are supported")
     if cfg.lr_policy.get("kind") != "tuner":
         raise ConfigError("seed_lr sweeps require a tuner lr policy")
-    values = [float(v) for v in args.values.split(",") if v]
-    if not values or any(v <= 0 for v in values):
-        raise ConfigError("sweep values must be positive numbers")
+    values = _positive_list(args.values, float, "--values")
 
     rows = []
     for value in values:
@@ -119,9 +127,7 @@ def cmd_range_test(args) -> int:
 def cmd_sb_scan(args) -> int:
     cfg = _load_config(args)
     seed = cfg.seeds[0]
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    if not sizes or any(s < 1 for s in sizes):
-        raise ConfigError("sizes must be positive integers")
+    sizes = _positive_list(args.sizes, int, "--sizes")
     run = TrainingRun(cfg, seed)
     engine = run.engine
     rows = []
@@ -155,7 +161,7 @@ def cmd_quadcheck(args) -> int:
     _, grads = engine.loss_and_gradient(x, y)
     direction = run.optimizer.compute_direction(run.model.params, grads).direction
     sb = engine.draw_superbatch(min(tc.superbatch_size, engine.batches_per_epoch))
-    probe = probe_round(engine, direction, eta, sb, tc.epsilon_threshold_r, tc.n_probes, tc.span_fraction)
+    probe = probe_round(engine, tc, args.at_step, direction, eta, sb)
     if probe.bound <= 0.0:
         raise QuadtuneError(f"loss at the current lr is {probe.loss_at_zero!r}; nothing to probe")
     if probe.fit is None:
@@ -202,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="sweep the tuner seed learning rate")
     add_common(p_sweep)
-    p_sweep.add_argument("--field", default="seed_lr")
     p_sweep.add_argument("--values", required=True, help="comma-separated positive values")
     p_sweep.set_defaults(func=cmd_sweep)
 

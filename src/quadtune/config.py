@@ -38,6 +38,8 @@ class RunConfig:
         kind_args("model", args["model"], MODELS)
         optimizer_args(args["optimizer"])
         policy_args(args["lr_policy"])
+        if args["lr_policy"].get("momentum_range") is not None and args["optimizer"]["kind"] != "momentum":
+            raise ConfigError("momentum_range needs the momentum optimizer")
         return cls(**dict(args, seeds=list(args["seeds"])))
 
     @classmethod
@@ -55,6 +57,3 @@ class RunConfig:
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import math
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -63,8 +64,8 @@ def _split(x: np.ndarray, y: np.ndarray, task: str, num_classes=None, train_frac
 
 def make_blobs(n: int = 1000, k: int = 2, sep: float = 5.0, dim: int = 2, seed: int = 0) -> Dataset:
     """k Gaussian clusters (unit variance) with pairwise center distance sep."""
-    if n <= 0 or k < 2 or dim < 1:
-        raise InvalidArgumentError("blobs require n > 0, k >= 2, dim >= 1")
+    if n <= 0 or k < 2 or dim < 1 or seed < 0:
+        raise InvalidArgumentError("blobs require n > 0, k >= 2, dim >= 1, seed >= 0")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
     if k == 2:
         centers = np.zeros((2, dim))
@@ -83,8 +84,8 @@ def make_blobs(n: int = 1000, k: int = 2, sep: float = 5.0, dim: int = 2, seed: 
 
 def make_moons(n: int = 1000, noise: float = 0.15, seed: int = 0) -> Dataset:
     """Two interleaving half circles with Gaussian noise."""
-    if n <= 0:
-        raise InvalidArgumentError("n must be positive")
+    if n <= 0 or noise < 0 or seed < 0:
+        raise InvalidArgumentError("moons require n > 0, noise >= 0, seed >= 0")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 102]))
     n_outer = n // 2
     n_inner = n - n_outer
@@ -100,8 +101,8 @@ def make_moons(n: int = 1000, noise: float = 0.15, seed: int = 0) -> Dataset:
 
 def make_linear_regression(n: int = 1000, dim: int = 4, noise: float = 0.1, seed: int = 0) -> Dataset:
     """y = x @ w_true + b_true + noise, with x ~ N(0, I)."""
-    if n <= 0 or dim < 1:
-        raise InvalidArgumentError("regression requires n > 0 and dim >= 1")
+    if n <= 0 or dim < 1 or noise < 0 or seed < 0:
+        raise InvalidArgumentError("regression requires n > 0, dim >= 1, noise >= 0, seed >= 0")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 103]))
     w_true = rng.normal(size=dim)
     b_true = float(rng.normal())
@@ -180,16 +181,21 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
 
 
 def _json_type(want) -> str:
-    return f"a list of {_json_type(want[0])}" if type(want) is list else want.__name__
+    if type(want) is list:
+        return f"a list of {_json_type(want[0])}"
+    return "finite float" if want is float else want.__name__
 
 
 def _typed(value, want):
-    """value as JSON type want; a list type [t] gives a tuple. Raises TypeError on a mismatch."""
+    """value as JSON type want; a list type [t] gives a tuple. Raises TypeError on a
+    mismatch, and on a float that is not finite (JSON as Python reads it has NaN and Infinity)."""
     if type(want) is list:
         if type(value) is list:
             return tuple([_typed(v, want[0]) for v in value])
     elif type(value) is want or (want is float and type(value) is int):
-        return want(value)
+        value = want(value)
+        if want is not float or math.isfinite(value):
+            return value
     raise TypeError
 
 
@@ -205,9 +211,10 @@ def spec_args(where: str, spec, entry: tuple, **shared) -> dict:
 
     An entry is ``(factory, {key: type | (argument_name, type)})``; a type is int, float,
     bool, str, dict, or ``[type]`` for a JSON array (passed as a tuple). Nothing is
-    coerced, except that a float takes a JSON integer. When two keys name one argument,
-    the later one in the map wins. Arguments without a default are required, and null
-    is taken only where the default is None. ``shared`` keys are checked, not passed.
+    coerced, except that a float takes a JSON integer, and a float must be finite. When
+    two keys name one argument, the later one in the map wins. Arguments without a default
+    are required, and null is taken only where the default is None. ``shared`` keys are
+    checked, not passed.
     """
     if type(spec) is not dict:
         raise ConfigError(f"{where} must be a JSON object")
@@ -220,7 +227,7 @@ def spec_args(where: str, spec, entry: tuple, **shared) -> dict:
         found += 1
         arg, want = want if type(want) is tuple else (key, want)
         value = spec[key]
-        if type(value) is not want or want is dict:  # an exact scalar type passes as it is
+        if type(value) is not want or want in (dict, float):  # an exact int, bool or str passes as it is
             try:
                 value = None if value is None and arg in nullable else _typed(value, want)
             except (TypeError, OverflowError):

@@ -166,7 +166,7 @@ class TrainingEngine:
     # -- committed steps -------------------------------------------------------
 
     def commit(self, optimizer: Optimizer, pending: PendingStep, lr: float) -> None:
-        self.model.params[:] = optimizer.commit_step(self.model.params, lr, pending)
+        optimizer.commit_step(self.model.params, lr, pending)
 
     # -- evaluation (not part of the training cost model) ----------------------
 

@@ -109,8 +109,8 @@ class Mlp(Model):
         task: str = TASK_CLASSIFICATION,
         rng: Optional[np.random.Generator] = None,
     ):
-        if len(layer_sizes) < 2:
-            raise InvalidArgumentError("layer_sizes needs input and output widths")
+        if len(layer_sizes) < 2 or min(layer_sizes) < 1:
+            raise InvalidArgumentError(f"layer_sizes needs input and output widths, each at least 1, not {layer_sizes}")
         if task not in (TASK_CLASSIFICATION, TASK_REGRESSION):
             raise InvalidArgumentError(f"unsupported task {task!r}")
         self.layer_sizes = list(layer_sizes)

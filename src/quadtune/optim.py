@@ -3,8 +3,10 @@
 Every optimizer follows the same two-phase protocol: ``compute_direction``
 returns the direction ``d`` (the canonical update is ``theta <- theta - lr*d``)
 together with the post-update internal state, without mutating anything;
-``commit_step`` applies it. This lets callers probe losses at perturbed step
-sizes along ``d`` and only then decide the learning rate.
+``commit_step`` applies it to the parameters in place. This lets callers probe
+losses at perturbed step sizes along ``d`` and only then decide the learning
+rate. ``d`` may share memory with the gradient or an optimizer buffer, so
+nothing writes into it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ class PendingStep:
     """Direction plus the not-yet-committed optimizer internals for one step."""
 
     direction: np.ndarray
-    token: int
+    token: int  # the optimizer's step_count when the direction was computed
     payload: dict[str, Any] = field(default_factory=dict)
 
 
@@ -49,7 +51,6 @@ class Optimizer:
             raise InvalidArgumentError("weight_decay must be nonnegative")
         self.weight_decay = float(weight_decay)
         self.step_count = 0
-        self._token = 0
 
     def compute_direction(self, params: np.ndarray, grads: np.ndarray) -> PendingStep:
         """Direction d for update theta <- theta - lr*d, plus pending internals.
@@ -63,22 +64,20 @@ class Optimizer:
         if not np.isfinite(grads).all():
             raise InvalidGradientError("non-finite gradient")
         direction, payload = self._direction(np.asarray(params, dtype=np.float64), grads)
-        return PendingStep(direction=direction, token=self._token, payload=payload)
+        return PendingStep(direction=direction, token=self.step_count, payload=payload)
 
-    def commit_step(self, params: np.ndarray, lr: float, pending: PendingStep) -> np.ndarray:
-        """Apply the pending step at learning rate lr; returns new parameters."""
+    def commit_step(self, params: np.ndarray, lr: float, pending: PendingStep) -> None:
+        """Apply the pending step at learning rate lr to params (a float64 array), in place."""
         if lr <= 0.0:
             raise InvalidArgumentError("lr must be positive")
-        if pending.token != self._token:
+        if pending.token != self.step_count:
             raise StaleStepError("pending step does not match the optimizer's committed state")
-        new_params = self._committed_update(np.asarray(params, dtype=np.float64), lr, pending)
+        self._committed_update(params, lr, pending)
         self._apply(pending.payload)
         self.step_count += 1
-        self._token += 1
-        return new_params
 
-    def _committed_update(self, params: np.ndarray, lr: float, pending: PendingStep) -> np.ndarray:
-        return params - lr * pending.direction
+    def _committed_update(self, params: np.ndarray, lr: float, pending: PendingStep) -> None:
+        params -= lr * pending.direction
 
     def _direction(self, params: np.ndarray, grads: np.ndarray) -> tuple[np.ndarray, dict]:
         raise NotImplementedError
@@ -93,7 +92,6 @@ class Optimizer:
         return {
             "kind": type(self).__name__,
             "step_count": self.step_count,
-            "token": self._token,
             "buffers": copy.deepcopy(self._buffers()),
         }
 
@@ -104,15 +102,10 @@ class Optimizer:
             )
         self._check_buffers(state["buffers"])
         self.step_count = int(state["step_count"])
-        self._token = int(state["token"])
-        self._set_buffers(copy.deepcopy(state["buffers"]))
+        self._apply(copy.deepcopy(state["buffers"]))
 
     def _buffers(self) -> dict[str, Any]:
         return {name: getattr(self, name) for name in self.BUFFERS}
-
-    def _set_buffers(self, buffers: dict[str, Any]) -> None:
-        for name in self.BUFFERS:
-            setattr(self, name, buffers[name])
 
     def _check_buffers(self, buffers: dict[str, Any]) -> None:
         for key, value in buffers.items():
@@ -126,10 +119,7 @@ class Sgd(Optimizer):
     """Plain gradient descent; L2 weight decay folded into the gradient."""
 
     def _direction(self, params, grads):
-        d = grads
-        if self.weight_decay:
-            d = grads + self.weight_decay * params
-        return d.copy(), {}
+        return (grads + self.weight_decay * params if self.weight_decay else grads), {}
 
 
 class Momentum(Optimizer):
@@ -148,7 +138,7 @@ class Momentum(Optimizer):
         g = grads + self.weight_decay * params if self.weight_decay else grads
         v = self.velocity if self.velocity is not None else np.zeros_like(params)
         v_next = self.mu * v + g
-        return v_next.copy(), {"velocity": v_next}
+        return v_next, {"velocity": v_next}
 
 
 class Adam(Optimizer):
@@ -194,10 +184,11 @@ class AdamW(Adam):
     decoupled_decay = True
 
     def _committed_update(self, params, lr, pending):
-        new_params = params - lr * pending.direction
-        if self.weight_decay:
-            new_params = new_params - lr * self.weight_decay * params
-        return new_params
+        if not self.weight_decay:  # a zero decay would turn a -0.0 parameter into +0.0
+            return super()._committed_update(params, lr, pending)
+        decay = lr * self.weight_decay * params  # reads the pre-step params
+        super()._committed_update(params, lr, pending)
+        params -= decay
 
 
 def take_snapshot(

@@ -209,7 +209,7 @@ class TrainingRun:
         else:
             lr = lr_at(self.schedule, step, self.total_steps)
             mom = momentum_at(self.schedule, step, self.total_steps)
-            if mom is not None and isinstance(self.optimizer, Momentum):
+            if mom is not None:  # RunConfig accepts momentum_range only for the momentum optimizer
                 self.optimizer.mu = mom
             train_loss, grads = self.engine.loss_and_gradient(x, y)
             pending = self.optimizer.compute_direction(self.model.params, grads)

@@ -13,6 +13,11 @@ from .optim import Optimizer
 
 _FRACTION_TOL = 1e-9
 
+# LR range test settings; see lr_range_test.
+RANGE_TEST_SMOOTHING = 0.98
+RANGE_TEST_EXPLOSION_FACTOR = 4.0
+RANGE_TEST_SUGGESTION_DIV = 10.0
+
 
 @dataclass(frozen=True)
 class Constant:
@@ -173,16 +178,13 @@ def lr_range_test(
     lr_min: float,
     lr_max: float,
     steps: int,
-    smoothing: float = 0.98,
-    explosion_factor: float = 4.0,
-    suggestion_div: float = 10.0,
 ) -> RangeTestResult:
     """Ramp lr exponentially from lr_min to lr_max, stopping once the loss explodes.
 
     The curve records exponentially smoothed loss per lr; training stops when
-    the smoothed loss exceeds explosion_factor times the best smoothed loss
-    seen so far. The suggested maximum lr is the lr at the smoothed-loss
-    minimum divided by suggestion_div.
+    the smoothed loss exceeds RANGE_TEST_EXPLOSION_FACTOR times the best
+    smoothed loss seen so far. The suggested maximum lr is the lr at the
+    smoothed-loss minimum divided by RANGE_TEST_SUGGESTION_DIV.
     """
     if not 0.0 < lr_min < lr_max:
         raise InvalidArgumentError("need 0 < lr_min < lr_max")
@@ -204,9 +206,9 @@ def lr_range_test(
                 raise RangeTestError("loss diverged immediately; use a smaller lr_min")
             exploded_at = lr
             break
-        smoothed = loss if smoothed is None else smoothing * smoothed + (1.0 - smoothing) * loss
+        smoothed = loss if smoothed is None else RANGE_TEST_SMOOTHING * smoothed + (1.0 - RANGE_TEST_SMOOTHING) * loss
         curve.append((lr, smoothed))
-        if smoothed > explosion_factor * best:
+        if smoothed > RANGE_TEST_EXPLOSION_FACTOR * best:
             if i <= 1:
                 raise RangeTestError("loss diverged immediately; use a smaller lr_min")
             exploded_at = lr
@@ -218,4 +220,4 @@ def lr_range_test(
     if not curve:
         raise RangeTestError("no finite losses recorded; use a smaller lr_min")
     best_lr = min(curve, key=lambda pair: pair[1])[0]
-    return RangeTestResult(curve=curve, suggested_max_lr=best_lr / suggestion_div, exploded_at_lr=exploded_at)
+    return RangeTestResult(curve, suggested_max_lr=best_lr / RANGE_TEST_SUGGESTION_DIV, exploded_at_lr=exploded_at)

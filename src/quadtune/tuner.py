@@ -141,21 +141,6 @@ class TunerState:
 
 
 @dataclass
-class RecomputeRecord:
-    """Debug/inspection record for one probe round; each verdict fills in what it reached."""
-
-    step: int
-    superbatch: Superbatch
-    eta: float
-    bound: float
-    samples: list[LossSample]
-    fit: Optional[QuadFit]
-    proposal: Optional[EpsilonProposal] = None
-    filtered: Optional[EpsilonProposal] = None
-    applied_epsilon: Optional[float] = None
-
-
-@dataclass
 class StepOutcome:
     events: list[str]
     lr: float
@@ -211,16 +196,25 @@ def saturation_check(
 
 @dataclass
 class ProbeRound:
-    """Losses probed around one learning rate on one fixed superbatch."""
+    """Losses probed around lr eta at one step on one fixed superbatch, and their fit.
 
+    The tuner fills in the verdict fields as far as the round got.
+    """
+
+    step: int
+    superbatch: Superbatch
+    eta: float
     loss_at_zero: float
     bound: float
-    samples: list[LossSample]
-    fit: Optional[QuadFit]
+    samples: list[LossSample] = field(default_factory=list)
+    fit: Optional[QuadFit] = None
+    proposal: Optional[EpsilonProposal] = None
+    filtered: Optional[EpsilonProposal] = None
+    applied_epsilon: Optional[float] = None
 
 
 def probe_round(
-    engine: TrainingEngine, direction, eta: float, sb: Superbatch, r: float, n_probes: int, span_fraction: float
+    engine: TrainingEngine, cfg: TunerConfig, step: int, direction, eta: float, sb: Superbatch
 ) -> ProbeRound:
     """Superbatch losses at eta + eps along direction, and their quadratic fit.
 
@@ -229,17 +223,18 @@ def probe_round(
     dropped, and the fit is None when fewer than 3 distinct epsilons remain.
     """
     loss_at_zero = engine.perturbed_loss(direction, eta, sb)
-    bound = epsilon_bound(r, max(loss_at_zero, 0.0)) if math.isfinite(loss_at_zero) else 0.0
+    bound = epsilon_bound(cfg.epsilon_threshold_r, max(loss_at_zero, 0.0)) if math.isfinite(loss_at_zero) else 0.0
+    probe = ProbeRound(step, sb, eta, loss_at_zero, bound)
     if bound <= 0.0:
-        return ProbeRound(loss_at_zero, bound, [], None)
+        return probe
 
-    samples = []
-    for eps in probe_points(eta, bound, n_probes, span_fraction):
+    for eps in probe_points(eta, bound, cfg.n_probes, cfg.span_fraction):
         loss = loss_at_zero if eps == 0.0 else engine.perturbed_loss(direction, eta + eps, sb)
         if math.isfinite(loss):
-            samples.append(LossSample(epsilon=eps, loss=loss))
-    fit = fit_quadratic(samples) if len({s.epsilon for s in samples}) >= 3 else None
-    return ProbeRound(loss_at_zero, bound, samples, fit)
+            probe.samples.append(LossSample(epsilon=eps, loss=loss))
+    if len({s.epsilon for s in probe.samples}) >= 3:
+        probe.fit = fit_quadratic(probe.samples)
+    return probe
 
 
 @dataclass
@@ -261,7 +256,7 @@ class LearningRateTuner:
         self.engine = engine
         self.optimizer = optimizer
         self.state = TunerState(phase=phase_at(0, cfg), current_lr=cfg.seed_lr)
-        self.recompute_log: list[RecomputeRecord] = []
+        self.recompute_log: list[ProbeRound] = []
         self._window: Optional[_Window] = None
         self._last_rate: Optional[float] = None
 
@@ -314,12 +309,9 @@ class LearningRateTuner:
         # A probe whose perturbed parameters overflow runs no forward, so the
         # engine's own count is the work done.
         passes = self.engine.forward_passes
-        probe = probe_round(
-            self.engine, direction, eta, sb, cfg.epsilon_threshold_r, cfg.n_probes, cfg.span_fraction
-        )
+        probe = probe_round(self.engine, cfg, step, direction, eta, sb)
         st.counters.probe_forward_passes += self.engine.forward_passes - passes
-        record = RecomputeRecord(step, sb, eta, probe.bound, probe.samples, probe.fit)
-        self.recompute_log.append(record)
+        self.recompute_log.append(probe)
         if probe.bound <= 0.0:
             st.counters.rejects_other += 1
             if not math.isfinite(probe.loss_at_zero):
@@ -330,11 +322,11 @@ class LearningRateTuner:
         if probe.fit is None:
             st.counters.rejects_other += 1
             logger.warning("step %d: too few finite probes for a fit; keeping lr", step)
-            record.proposal = record.filtered = EpsilonProposal(ProposalKind.REJECT_NO_MINIMUM)
+            probe.proposal = probe.filtered = EpsilonProposal(ProposalKind.REJECT_NO_MINIMUM)
             return EVENT_REJECT_OTHER
 
-        record.proposal = propose_epsilon(probe.fit, probe.bound)
-        record.filtered = filtered = phase_filter(st.phase, record.proposal)
+        probe.proposal = propose_epsilon(probe.fit, probe.bound)
+        probe.filtered = filtered = phase_filter(st.phase, probe.proposal)
         if not filtered.is_applicable:
             st.counters.rejects_phase += 1
             return EVENT_REJECT_PHASE
@@ -358,7 +350,7 @@ class LearningRateTuner:
         if st.saturation.mode is SaturationMode.RELATIVE:
             st.saturation = replace(st.saturation, reference_rate=None)
         st.counters.accepts += 1
-        record.applied_epsilon = eps
+        probe.applied_epsilon = eps
         return EVENT_ACCEPT
 
     # -- one training step ------------------------------------------------------------

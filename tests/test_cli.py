@@ -64,7 +64,7 @@ class TestConfig:
         raw = schedule_raw(tmp_path)
         path = write_config(tmp_path, raw)
         cfg = RunConfig.from_json_file(path)
-        again = RunConfig.from_dict(json.loads(cfg.to_json()))
+        again = RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert again == cfg
 
     def test_parse_error_reports_line(self, tmp_path):
@@ -195,8 +195,11 @@ class TestExitCodes:
 
 COSINE = {"kind": "schedule", "variant": "cosine", "seed_lr": 0.1}
 
+ONE_CYCLE = {"kind": "schedule", "variant": "one_cycle", "max_lr": 0.1, "momentum_range": [0.95, 0.85]}
+
 # (family updated, or None for the top level; the update). Each one used to
-# train on defaults and exit 0, or to end in a KeyError or ValueError traceback.
+# train on defaults and exit 0, or to end in a KeyError, ValueError or
+# ZeroDivisionError traceback, or in a runtime error.
 MALFORMED = [
     pytest.param("lr_policy", {"rolback": False}, id="rolback"),
     pytest.param("lr_policy", {"epsilon_treshold": 1.0}, id="epsilon_treshold"),
@@ -218,6 +221,14 @@ MALFORMED = [
     pytest.param(None, {"seeds": [True]}, id="seeds-bool"),
     pytest.param(None, {"eval_every": True}, id="eval_every-bool"),
     pytest.param(None, {"out_dir": None}, id="out_dir-null"),
+    pytest.param("dataset", {"seed": -1}, id="dataset-seed-negative"),
+    pytest.param("dataset", {"noise": -1.0}, id="moons-noise-negative"),
+    pytest.param("model", {"hidden": [0]}, id="hidden-zero"),
+    pytest.param("model", {"hidden": [-3]}, id="hidden-negative"),
+    pytest.param("lr_policy", {"seed_lr": float("nan")}, id="seed_lr-nan"),
+    pytest.param("lr_policy", {"epsilon_threshold": float("nan")}, id="epsilon_threshold-nan"),
+    pytest.param("lr_policy", {"rollback_factor": float("inf")}, id="rollback_factor-infinity"),
+    pytest.param(None, {"optimizer": {"kind": "sgd"}, "lr_policy": ONE_CYCLE}, id="momentum_range-on-sgd"),
 ]
 
 
@@ -247,6 +258,19 @@ def test_every_command_rejects_an_unknown_key(tmp_path, capsys, command):
     assert not os.path.exists(raw["out_dir"])
 
 
+@pytest.mark.parametrize("command", [
+    ["sb-scan", "--sizes", "abc"],
+    ["sb-scan", "--sizes", "1,2.5"],
+    ["sweep", "--values", "x"],
+    ["sweep", "--values", "0.1,nan"],
+], ids=lambda command: " ".join(command))
+def test_bad_number_list_exits_1(tmp_path, capsys, command):
+    path = write_config(tmp_path, tuner_raw(tmp_path))
+    assert main([command[0], "--config", path, *command[1:], "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {command[1]} must be") and "Traceback" not in err
+
+
 class TestSweepCommand:
     def test_five_values_five_rows(self, tmp_path):
         path = write_config(tmp_path, tuner_raw(tmp_path, epochs=2))
@@ -267,10 +291,6 @@ class TestSweepCommand:
     def test_requires_tuner_policy(self, tmp_path):
         path = write_config(tmp_path, schedule_raw(tmp_path))
         assert main(["sweep", "--config", path, "--values", "0.1", "--quiet"]) == 1
-
-    def test_unsupported_field_rejected(self, tmp_path):
-        path = write_config(tmp_path, tuner_raw(tmp_path))
-        assert main(["sweep", "--config", path, "--field", "momentum", "--values", "0.1", "--quiet"]) == 1
 
 
 class TestRangeTestCommand:

@@ -67,6 +67,18 @@ def test_make_dataset_dispatch_and_errors():
         make_blobs(n=0)
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "blobs", "seed": -1},
+    {"kind": "moons", "seed": -1},
+    {"kind": "moons", "noise": -0.5},
+    {"kind": "linreg", "seed": -1},
+    {"kind": "linreg", "noise": -0.5},
+], ids=lambda spec: "-".join(map(str, spec.values())))
+def test_negative_seed_and_noise_rejected(spec):
+    with pytest.raises(InvalidArgumentError):
+        make_dataset(spec)
+
+
 def _write_idx_pair(tmpdir, count=4, rows=28, cols=28, image_magic=0x803, label_magic=0x801, label_count=None):
     images_path = os.path.join(tmpdir, "images.idx")
     labels_path = os.path.join(tmpdir, "labels.idx")

@@ -22,7 +22,7 @@ def test_momentum_velocity_unroll():
     params = np.array([0.0, 0.0])
     pending = opt.compute_direction(params, np.array([1.0, 0.0]))
     assert np.allclose(pending.direction, [1.0, 0.0])
-    params = opt.commit_step(params, 0.1, pending)
+    opt.commit_step(params, 0.1, pending)
     pending = opt.compute_direction(params, np.array([1.0, 0.0]))
     assert np.allclose(pending.direction, [1.9, 0.0])
 
@@ -32,10 +32,10 @@ def test_momentum_two_step_trace():
     opt = Momentum(mu=0.9)
     theta = np.array([1.0])
     pending = opt.compute_direction(theta, theta.copy())
-    theta = opt.commit_step(theta, 0.1, pending)
+    opt.commit_step(theta, 0.1, pending)
     assert theta[0] == pytest.approx(0.9)
     pending = opt.compute_direction(theta, theta.copy())
-    theta = opt.commit_step(theta, 0.1, pending)
+    opt.commit_step(theta, 0.1, pending)
     assert theta[0] == pytest.approx(0.72)
 
 
@@ -58,7 +58,7 @@ def test_adam_direction_magnitude_bound():
         m_hat = pending.payload["m"] / (1 - opt.beta1**t)
         v_hat = pending.payload["v"] / (1 - opt.beta2**t)
         assert np.all(np.abs(pending.direction) <= np.abs(m_hat) / np.sqrt(v_hat) + 1e-12)
-        params = opt.commit_step(params, 0.01, pending)
+        opt.commit_step(params, 0.01, pending)
 
 
 def test_adam_step1_direction_approaches_one_as_eps_vanishes():
@@ -69,12 +69,29 @@ def test_adam_step1_direction_approaches_one_as_eps_vanishes():
 
 
 def test_commit_examples():
-    opt = Sgd()
-    theta = opt.commit_step(np.array([1.0]), 0.1, opt.compute_direction(np.array([1.0]), np.array([2.0])))
+    opt, theta = Sgd(), np.array([1.0])
+    opt.commit_step(theta, 0.1, opt.compute_direction(theta, np.array([2.0])))
     assert theta[0] == pytest.approx(0.8)
-    opt = Sgd()
-    theta = opt.commit_step(np.array([1.0]), 0.5, opt.compute_direction(np.array([1.0]), np.array([0.0])))
+    opt, theta = Sgd(), np.array([1.0])
+    opt.commit_step(theta, 0.5, opt.compute_direction(theta, np.array([0.0])))
     assert theta[0] == 1.0
+
+
+@pytest.mark.parametrize("opt", [Sgd(weight_decay=0.1), Momentum(mu=0.9), Adam(), AdamW(weight_decay=0.1)],
+                         ids=lambda opt: type(opt).__name__)
+def test_commit_writes_params_in_place(opt):
+    # Two steps, so Momentum and Adam commit with non-empty buffers.
+    rng = np.random.default_rng(3)
+    params = rng.normal(size=5)
+    for lr in (0.1, 0.05):
+        pending = opt.compute_direction(params, rng.normal(size=5))
+        before = params.copy()
+        expected = before - lr * pending.direction
+        if isinstance(opt, AdamW):
+            expected = expected - lr * opt.weight_decay * before
+        same = params
+        assert opt.commit_step(params, lr, pending) is None
+        assert params is same and params.tobytes() == expected.tobytes()
 
 
 def test_adamw_decoupled_decay():
@@ -83,8 +100,8 @@ def test_adamw_decoupled_decay():
     pending = opt.compute_direction(params, np.array([0.5]))
     # decay does not enter the adaptive direction
     assert pending.direction[0] == pytest.approx(0.5 / (0.5 + 1e-8), rel=1e-12)
-    new_params = opt.commit_step(params, 0.1, pending)
-    assert new_params[0] == pytest.approx(2.0 - 0.1 * pending.direction[0] - 0.1 * 0.1 * 2.0)
+    opt.commit_step(params, 0.1, pending)
+    assert params[0] == pytest.approx(2.0 - 0.1 * pending.direction[0] - 0.1 * 0.1 * 2.0)
 
 
 def test_compute_direction_is_pure():
@@ -102,7 +119,7 @@ def test_stale_pending_rejected():
     params = np.array([1.0])
     first = opt.compute_direction(params, np.array([1.0]))
     second = opt.compute_direction(params, np.array([1.0]))
-    params = opt.commit_step(params, 0.1, first)
+    opt.commit_step(params, 0.1, first)
     with pytest.raises(StaleStepError):
         opt.commit_step(params, 0.1, second)
 
@@ -115,7 +132,7 @@ def test_nonfinite_gradient_rejected():
 def test_snapshot_round_trip_bit_exact():
     opt = Momentum(mu=0.9)
     params = np.array([1.0, -2.0, 3.0])
-    params = opt.commit_step(params, 0.1, opt.compute_direction(params, params.copy()))
+    opt.commit_step(params, 0.1, opt.compute_direction(params, params.copy()))
     snap = take_snapshot(params, opt, lr=0.1, step_index=opt.step_count)
     mutated = params * 17.0 + 1.0
     restore_snapshot(snap, mutated, opt)
@@ -127,8 +144,7 @@ def test_snapshot_replay_identical_losses():
     def run_five(opt, theta):
         trace = []
         for _ in range(5):
-            g = theta.copy()
-            theta = opt.commit_step(theta, 0.1, opt.compute_direction(theta, g))
+            opt.commit_step(theta, 0.1, opt.compute_direction(theta, theta.copy()))
             trace.append(0.5 * float(theta @ theta))
         return theta, trace
 
@@ -147,14 +163,14 @@ def test_adam_snapshot_resumes_bias_correction():
     opt = Adam()
     theta = np.array([1.0])
     for _ in range(7):
-        theta = opt.commit_step(theta, 0.05, opt.compute_direction(theta, theta.copy()))
+        opt.commit_step(theta, 0.05, opt.compute_direction(theta, theta.copy()))
     snap = take_snapshot(theta, opt, lr=0.05, step_index=opt.step_count)
     assert snap.step_index == 7
 
     def continue_three(opt, theta):
         out = []
         for _ in range(3):
-            theta = opt.commit_step(theta, 0.05, opt.compute_direction(theta, theta.copy()))
+            opt.commit_step(theta, 0.05, opt.compute_direction(theta, theta.copy()))
             out.append(theta[0])
         return out
 
@@ -176,11 +192,11 @@ def test_snapshot_shape_mismatch():
 def test_momentum_buffer_shape_mismatch():
     opt = Momentum(mu=0.9)
     theta = np.zeros(3)
-    theta = opt.commit_step(theta, 0.1, opt.compute_direction(theta, np.ones(3)))
+    opt.commit_step(theta, 0.1, opt.compute_direction(theta, np.ones(3)))
     snap = take_snapshot(theta, opt, lr=0.1, step_index=1)
     other = Momentum(mu=0.9)
     wider = np.zeros(4)
-    wider = other.commit_step(wider, 0.1, other.compute_direction(wider, np.ones(4)))
+    other.commit_step(wider, 0.1, other.compute_direction(wider, np.ones(4)))
     with pytest.raises(IncompatibleSnapshotError):
         other.load_state_dict(snap.opt_state)
 
@@ -193,7 +209,7 @@ def test_sgd_monotone_on_bowl_below_stability():
     prev = 0.5 * float(theta @ a @ theta)
     for _ in range(50):
         g = a @ theta
-        theta = opt.commit_step(theta, lr, opt.compute_direction(theta, g))
+        opt.commit_step(theta, lr, opt.compute_direction(theta, g))
         loss = 0.5 * float(theta @ a @ theta)
         assert loss <= prev + 1e-15
         prev = loss
