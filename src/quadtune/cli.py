@@ -9,22 +9,25 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
+import operator
 import os
 import sys
-from typing import Optional
+from typing import Iterable, Optional
 
 from .config import RunConfig
 from .errors import ConfigError, InvalidArgumentError, QuadtuneError
 from .quadprobe import propose_epsilon
-from .runner import CSV_COLUMNS, LR_POLICIES, RunRecord, TrainingRun, _fmt, run_all_seeds, tuner_config_from_policy
+from .runner import CSV_COLUMNS, LR_POLICIES, RunRecord, TrainingRun, run_all_seeds, tuner_config_from_policy
 from .schedules import lr_at, lr_range_test
 from .stats import summarize
 from .tuner import probe_round
 
 
-def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
+def _write_csv(path: str, header: list[str], rows: Iterable[Iterable]) -> None:
+    """csv.writer writes each cell: None blank, anything else as str(), so a float reads back exactly."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
@@ -33,7 +36,7 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
 
 
 def write_trace(path: str, records: list[RunRecord]) -> None:
-    _write_csv(path, CSV_COLUMNS, [r.to_csv_row() for r in records])
+    _write_csv(path, CSV_COLUMNS, map(operator.attrgetter(*CSV_COLUMNS), records))
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -103,7 +106,7 @@ def cmd_sweep(args) -> int:
         sub_cfg.out_dir = os.path.join(cfg.out_dir, f"seed_lr_{value:g}")
         summary = _run_and_write(sub_cfg)
         stats = summarize(_sweep_metric(summary["per_seed"]))
-        rows.append([_fmt(value), _fmt(stats.mean), _fmt(stats.stddev)])
+        rows.append((value, stats.mean, stats.stddev))
         if not args.quiet:
             print(f"seed_lr={value:g}: mean={stats.mean:.6g} stddev={stats.stddev:.3g}")
 
@@ -116,8 +119,7 @@ def cmd_range_test(args) -> int:
     seed = cfg.seeds[0]
     run = TrainingRun(cfg, seed)
     result = lr_range_test(run.engine, run.optimizer, args.lr_min, args.lr_max, args.steps)
-    rows = [[_fmt(lr), _fmt(loss)] for lr, loss in result.curve]
-    _write_csv(os.path.join(cfg.out_dir, "range_test.csv"), ["lr", "smoothed_loss"], rows)
+    _write_csv(os.path.join(cfg.out_dir, "range_test.csv"), ["lr", "smoothed_loss"], result.curve)
     print(f"suggested_max_lr: {result.suggested_max_lr!r}")
     if result.exploded_at_lr is not None and not args.quiet:
         print(f"loss exploded at lr {result.exploded_at_lr!r}")
@@ -133,9 +135,10 @@ def cmd_sb_scan(args) -> int:
     rows = []
     for size in sizes:
         losses = [engine.superbatch_loss(engine.draw_superbatch(size)) for _ in range(args.trials)]
-        rows.append([str(size), _fmt(summarize(losses).stddev)])
+        stddev = summarize(losses).stddev
+        rows.append((size, stddev))
         if not args.quiet:
-            print(f"size={size}: stddev={rows[-1][1]}")
+            print(f"size={size}: stddev={stddev!r}")
     _write_csv(os.path.join(cfg.out_dir, "sb_scan.csv"), ["size", "loss_stddev"], rows)
     return 0
 
@@ -170,10 +173,10 @@ def cmd_quadcheck(args) -> int:
 
     half_width = max(abs(s.epsilon) for s in probe.samples)
     held_out = [-2.0 * half_width, -1.5 * half_width, 1.5 * half_width, 2.0 * half_width]
-    rows = [[_fmt(s.epsilon), _fmt(s.loss), _fmt(fit.predict(s.epsilon)), "0"] for s in probe.samples]
+    rows = [(s.epsilon, s.loss, fit.predict(s.epsilon), 0) for s in probe.samples]
     for eps in held_out:
         measured = engine.perturbed_loss(direction, eta + eps, sb)
-        rows.append([_fmt(eps), _fmt(measured), _fmt(fit.predict(eps)), "1"])
+        rows.append((eps, measured, fit.predict(eps), 1))
     _write_csv(
         os.path.join(cfg.out_dir, "quadcheck.csv"),
         ["epsilon", "measured_loss", "fitted_loss", "held_out"],
@@ -192,6 +195,7 @@ def cmd_quadcheck(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="quadtune", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

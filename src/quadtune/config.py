@@ -32,6 +32,8 @@ class RunConfig:
             raise ConfigError("epochs must be a positive integer")
         if not args["seeds"]:
             raise ConfigError("seeds must be a non-empty list of integers")
+        if len(set(args["seeds"])) != len(args["seeds"]):
+            raise ConfigError("seeds must not repeat")
         if args.get("eval_every") is not None and args["eval_every"] < 1:
             raise ConfigError("eval_every must be a positive integer or null")
         kind_args("dataset", args["dataset"], DATASETS)

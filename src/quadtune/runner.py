@@ -53,20 +53,8 @@ class RunRecord:
     probe_fwd: int
     event: str  # ";"-joined tags, in the order they happened
 
-    def to_csv_row(self) -> list[str]:
-        return [_fmt(getattr(self, name)) for name in CSV_COLUMNS]
-
 
 CSV_COLUMNS = [f.name for f in fields(RunRecord)]
-
-
-def _fmt(value) -> str:
-    """CSV cell: blank for None, repr for floats so values round-trip exactly."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _classes(dataset: Dataset, model: str) -> int:

@@ -34,6 +34,8 @@ class StepSchedule:
     def __post_init__(self):
         if len(self.boundaries) != len(self.lrs) - 1:
             raise InvalidArgumentError("need exactly len(lrs) - 1 boundaries")
+        if not all(lr > 0.0 for lr in self.lrs):
+            raise InvalidArgumentError("step lrs must be positive")
         if any(b2 <= b1 for b1, b2 in zip(self.boundaries, self.boundaries[1:])):
             raise InvalidArgumentError("boundaries must be strictly increasing")
 
@@ -76,6 +78,8 @@ class OneCycle:
     def __post_init__(self):
         if abs(self.up_frac + self.down_frac + self.final_frac - 1.0) > _FRACTION_TOL:
             raise InvalidArgumentError("one-cycle fractions must sum to 1")
+        if not (self.div_factor > 0.0 and self.final_div > 0.0):
+            raise InvalidArgumentError("one-cycle div_factor and final_div must be positive")
         if self.momentum_range is not None and len(self.momentum_range) != 2:
             raise InvalidArgumentError("momentum_range must be (max_momentum, min_momentum)")
 
@@ -186,8 +190,8 @@ def lr_range_test(
     smoothed loss seen so far. The suggested maximum lr is the lr at the
     smoothed-loss minimum divided by RANGE_TEST_SUGGESTION_DIV.
     """
-    if not 0.0 < lr_min < lr_max:
-        raise InvalidArgumentError("need 0 < lr_min < lr_max")
+    if not 0.0 < lr_min < lr_max < math.inf:
+        raise InvalidArgumentError("need 0 < lr_min < lr_max < inf")
     if steps < 2:
         raise InvalidArgumentError("steps must be >= 2")
 

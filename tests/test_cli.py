@@ -5,13 +5,14 @@ import re
 import runpy
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from quadtune.cli import main
+from quadtune.cli import main, write_trace
 from quadtune.config import RunConfig
 from quadtune.datasets import DATASETS
 from quadtune.errors import ConfigError
-from quadtune.runner import CSV_COLUMNS, LR_POLICIES, MODELS, OPTIMIZERS
+from quadtune.runner import CSV_COLUMNS, LR_POLICIES, MODELS, OPTIMIZERS, RunRecord
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -140,6 +141,22 @@ class TestTrainCommand:
         assert record["event"] == ""
         assert record["probe_fwd"] == "0"
 
+    def test_cells_read_back_exactly(self, tmp_path):
+        record = RunRecord(step=3, epoch=0, lr=np.float64(0.1), train_loss=np.float64(1 / 3),
+                           superbatch_loss=-0.0, test_loss=float("nan"), test_acc=None, probe_fwd=7,
+                           event="accept;window")
+        path = os.path.join(str(tmp_path), "trace.csv")
+        write_trace(path, [record])
+        with open(path, "rb") as f:
+            assert f.read().endswith(b"\r\n")
+        header, row = read_csv(path)
+        cells = dict(zip(header, row))
+        assert cells["step"] == "3" and cells["probe_fwd"] == "7" and cells["event"] == "accept;window"
+        assert cells["test_acc"] == ""
+        for name in ("lr", "train_loss", "superbatch_loss", "test_loss"):
+            written = np.float64(getattr(record, name))
+            assert np.array_equal(np.float64(float(cells[name])).view(np.int64), written.view(np.int64)), name
+
     def test_tuner_trace_has_events_at_boundaries(self, tmp_path):
         path = write_config(tmp_path, tuner_raw(tmp_path))
         assert main(["train", "--config", path, "--quiet"]) == 0
@@ -219,6 +236,7 @@ MALFORMED = [
     pytest.param("lr_policy", {"superbatch_size": 2.5}, id="superbatch_size-float"),
     pytest.param(None, {"epochs": True}, id="epochs-bool"),
     pytest.param(None, {"seeds": [True]}, id="seeds-bool"),
+    pytest.param(None, {"seeds": [1, 1]}, id="seeds-duplicate"),
     pytest.param(None, {"eval_every": True}, id="eval_every-bool"),
     pytest.param(None, {"out_dir": None}, id="out_dir-null"),
     pytest.param("dataset", {"seed": -1}, id="dataset-seed-negative"),
@@ -229,6 +247,8 @@ MALFORMED = [
     pytest.param("lr_policy", {"epsilon_threshold": float("nan")}, id="epsilon_threshold-nan"),
     pytest.param("lr_policy", {"rollback_factor": float("inf")}, id="rollback_factor-infinity"),
     pytest.param(None, {"optimizer": {"kind": "sgd"}, "lr_policy": ONE_CYCLE}, id="momentum_range-on-sgd"),
+    pytest.param(None, {"lr_policy": dict(ONE_CYCLE, div_factor=0.0)}, id="one_cycle-div_factor-zero"),
+    pytest.param(None, {"lr_policy": dict(ONE_CYCLE, final_div=0.0)}, id="one_cycle-final_div-zero"),
 ]
 
 
@@ -313,6 +333,13 @@ class TestRangeTestCommand:
         rows = read_csv(os.path.join(str(tmp_path), "out", "range_test.csv"))
         assert rows[0] == ["lr", "smoothed_loss"]
         assert len(rows) == 41
+
+    def test_infinite_lr_max_exits_1(self, tmp_path, capsys):
+        path = write_config(tmp_path, tuner_raw(tmp_path))
+        assert main(["range-test", "--config", path, "--lr-min", "0.01", "--lr-max", "inf", "--quiet"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "config error: need 0 < lr_min < lr_max < inf\n"
+        assert "exploded" not in captured.out
 
 
 class TestSbScanCommand:

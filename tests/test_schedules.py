@@ -49,6 +49,8 @@ def test_step_schedule_validation():
         StepSchedule((0.1, 0.01), (30, 60))
     with pytest.raises(InvalidArgumentError):
         StepSchedule((0.1, 0.01, 0.001), (60, 30))
+    with pytest.raises(InvalidArgumentError):
+        StepSchedule((0.1, 0.0), (5,))
 
 
 def test_cosine_endpoints_and_midpoint():
@@ -191,6 +193,8 @@ class TestRangeTest:
             lr_range_test(engine, Sgd(), 0.1, 0.1, 10)
         with pytest.raises(InvalidArgumentError):
             lr_range_test(engine, Sgd(), 0.01, 0.1, 1)
+        with pytest.raises(InvalidArgumentError):
+            lr_range_test(engine, Sgd(), 0.01, float("inf"), 10)
 
     def test_on_stochastic_problem(self):
         ds = make_moons(n=600, noise=0.2, seed=8)
