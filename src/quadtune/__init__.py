@@ -9,7 +9,7 @@ rollback of changes that hurt the loss-drop rate.
 
 from .config import RunConfig
 from .datasets import Dataset, load_idx, make_blobs, make_bowl_dataset, make_dataset, make_linear_regression, make_moons
-from .engine import RngStream, Superbatch, TrainingEngine
+from .engine import Superbatch, TrainingEngine
 from .models import LinearRegression, LogisticRegression, Mlp, Model, QuadraticBowl
 from .optim import Adam, AdamW, Momentum, Optimizer, PendingStep, Sgd, Snapshot, restore_snapshot, take_snapshot
 from .quadprobe import (

@@ -58,12 +58,13 @@ def _positive_list(text: str, kind: type, flag: str) -> list:
 
 
 def _load_config(args) -> RunConfig:
-    cfg = RunConfig.from_json_file(args.config)
-    if getattr(args, "out", None):
-        cfg.out_dir = args.out
-    if getattr(args, "seed", None) is not None:
-        cfg.seeds = [args.seed]
-    return cfg
+    """The --config file with --out and --seed in place of its keys, checked as one config."""
+    overrides = {}
+    if args.out:
+        overrides["out_dir"] = args.out
+    if args.seed is not None:
+        overrides["seeds"] = [args.seed]
+    return RunConfig.from_json_file(args.config, **overrides)
 
 
 def _run_and_write(cfg: RunConfig) -> dict:
@@ -101,9 +102,8 @@ def cmd_sweep(args) -> int:
 
     rows = []
     for value in values:
-        sub_cfg = RunConfig.from_dict(cfg.to_dict())
-        sub_cfg.lr_policy["seed_lr"] = value
-        sub_cfg.out_dir = os.path.join(cfg.out_dir, f"seed_lr_{value:g}")
+        policy, out_dir = dict(cfg.lr_policy, seed_lr=value), os.path.join(cfg.out_dir, f"seed_lr_{value:g}")
+        sub_cfg = RunConfig.from_dict(dict(cfg.to_dict(), lr_policy=policy, out_dir=out_dir))
         summary = _run_and_write(sub_cfg)
         stats = summarize(_sweep_metric(summary["per_seed"]))
         rows.append((value, stats.mean, stats.stddev))
@@ -130,6 +130,8 @@ def cmd_sb_scan(args) -> int:
     cfg = _load_config(args)
     seed = cfg.seeds[0]
     sizes = _positive_list(args.sizes, int, "--sizes")
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be a positive integer, not {args.trials}")
     run = TrainingRun(cfg, seed)
     engine = run.engine
     rows = []
@@ -225,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("sb-scan", help="loss stddev as a function of superbatch size")
     add_common(p_scan)
     p_scan.add_argument("--sizes", required=True, help="comma-separated superbatch sizes")
-    p_scan.add_argument("--trials", type=int, default=10)
+    p_scan.add_argument("--trials", type=int, default=10, help="superbatches drawn per size, at least 1")
     p_scan.set_defaults(func=cmd_sb_scan)
 
     p_quad = sub.add_parser("quadcheck", help="emit fit vs held-out probe losses at a step")

@@ -30,10 +30,9 @@ class RunConfig:
         args = spec_args("config", raw, (cls, keys))
         if args["epochs"] < 1:
             raise ConfigError("epochs must be a positive integer")
-        if not args["seeds"]:
-            raise ConfigError("seeds must be a non-empty list of integers")
-        if len(set(args["seeds"])) != len(args["seeds"]):
-            raise ConfigError("seeds must not repeat")
+        seeds = args["seeds"]
+        if not seeds or min(seeds) < 0 or len(set(seeds)) != len(seeds):
+            raise ConfigError(f"seeds must be a non-empty list of distinct non-negative integers, not {list(seeds)}")
         if args.get("eval_every") is not None and args["eval_every"] < 1:
             raise ConfigError("eval_every must be a positive integer or null")
         kind_args("dataset", args["dataset"], DATASETS)
@@ -42,10 +41,11 @@ class RunConfig:
         policy_args(args["lr_policy"])
         if args["lr_policy"].get("momentum_range") is not None and args["optimizer"]["kind"] != "momentum":
             raise ConfigError("momentum_range needs the momentum optimizer")
-        return cls(**dict(args, seeds=list(args["seeds"])))
+        return cls(**dict(args, seeds=list(seeds)))
 
     @classmethod
-    def from_json_file(cls, path: str) -> "RunConfig":
+    def from_json_file(cls, path: str, **overrides) -> "RunConfig":
+        """The config in a JSON file, with ``overrides`` replacing its top-level keys before the check."""
         try:
             with open(path, "r", encoding="utf-8") as f:
                 text = f.read()
@@ -55,7 +55,7 @@ class RunConfig:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(dict(raw, **overrides) if type(raw) is dict else raw)
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)

@@ -22,6 +22,19 @@ from .models import TASK_CLASSIFICATION, TASK_NONE, TASK_REGRESSION
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
+# Each draw of a run has its own stream, seeded by the entropy words [seed, number].
+# A seed's words end where the purpose's begin, so no two (seed, purpose) pairs share a stream.
+STREAM_PURPOSES = {"init": 1, "shuffle": 2, "superbatch": 3, "blobs": 101, "moons": 102, "linreg": 103}
+
+
+def seeded_stream(seed: int, purpose: str) -> np.random.Generator:
+    """The generator for one purpose of a seed; a seed is any non-negative integer."""
+    if purpose not in STREAM_PURPOSES:
+        raise InvalidArgumentError(f"unknown stream purpose {purpose!r}")
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be a non-negative integer, not {seed!r}")
+    return np.random.default_rng([seed, STREAM_PURPOSES[purpose]])
+
 
 @dataclass
 class Dataset:
@@ -64,9 +77,9 @@ def _split(x: np.ndarray, y: np.ndarray, task: str, num_classes=None, train_frac
 
 def make_blobs(n: int = 1000, k: int = 2, sep: float = 5.0, dim: int = 2, seed: int = 0) -> Dataset:
     """k Gaussian clusters (unit variance) with pairwise center distance sep."""
-    if n <= 0 or k < 2 or dim < 1 or seed < 0:
-        raise InvalidArgumentError("blobs require n > 0, k >= 2, dim >= 1, seed >= 0")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
+    if n <= 0 or k < 2 or dim < 1:
+        raise InvalidArgumentError("blobs require n > 0, k >= 2, dim >= 1")
+    rng = seeded_stream(seed, "blobs")
     if k == 2:
         centers = np.zeros((2, dim))
         centers[0, 0] = -sep / 2.0
@@ -84,9 +97,9 @@ def make_blobs(n: int = 1000, k: int = 2, sep: float = 5.0, dim: int = 2, seed: 
 
 def make_moons(n: int = 1000, noise: float = 0.15, seed: int = 0) -> Dataset:
     """Two interleaving half circles with Gaussian noise."""
-    if n <= 0 or noise < 0 or seed < 0:
-        raise InvalidArgumentError("moons require n > 0, noise >= 0, seed >= 0")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 102]))
+    if n <= 0 or noise < 0:
+        raise InvalidArgumentError("moons require n > 0, noise >= 0")
+    rng = seeded_stream(seed, "moons")
     n_outer = n // 2
     n_inner = n - n_outer
     t_outer = rng.uniform(0.0, np.pi, size=n_outer)
@@ -101,9 +114,9 @@ def make_moons(n: int = 1000, noise: float = 0.15, seed: int = 0) -> Dataset:
 
 def make_linear_regression(n: int = 1000, dim: int = 4, noise: float = 0.1, seed: int = 0) -> Dataset:
     """y = x @ w_true + b_true + noise, with x ~ N(0, I)."""
-    if n <= 0 or dim < 1 or noise < 0 or seed < 0:
-        raise InvalidArgumentError("regression requires n > 0, dim >= 1, noise >= 0, seed >= 0")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 103]))
+    if n <= 0 or dim < 1 or noise < 0:
+        raise InvalidArgumentError("regression requires n > 0, dim >= 1, noise >= 0")
+    rng = seeded_stream(seed, "linreg")
     w_true = rng.normal(size=dim)
     b_true = float(rng.normal())
     x = rng.normal(size=(n, dim))

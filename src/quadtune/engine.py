@@ -4,7 +4,7 @@ The engine owns one model + dataset pair, partitions each epoch into
 equal-size minibatches (the trailing partial batch is dropped so superbatch
 means equal example means), and provides the perturbed-loss evaluation used
 for learning-rate probing. All randomness flows through named, replayable
-RNG streams so runs and rollbacks are bit-reproducible.
+RNG streams (`datasets.seeded_stream`) so runs and rollbacks are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -15,34 +15,10 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .datasets import Dataset
+from .datasets import Dataset, seeded_stream
 from .errors import InvalidArgumentError
 from .models import TASK_CLASSIFICATION, TASK_NONE, Model
 from .optim import Optimizer, PendingStep
-
-_STREAM_PURPOSES = {"init": 1, "shuffle": 2, "superbatch": 3}
-
-
-class RngStream:
-    """Seeded PCG64 stream tied to one purpose; position is save/restorable."""
-
-    def __init__(self, seed: int, purpose: str):
-        if purpose not in _STREAM_PURPOSES:
-            raise InvalidArgumentError(f"unknown stream purpose {purpose!r}")
-        self.seed = int(seed)
-        self.purpose = purpose
-        self.generator = np.random.default_rng(
-            np.random.SeedSequence([self.seed & 0xFFFFFFFFFFFFFFFF, _STREAM_PURPOSES[purpose]])
-        )
-
-    @property
-    def state(self) -> dict:
-        """A fresh dict on every read; setting it copies the values into the generator."""
-        return self.generator.bit_generator.state
-
-    @state.setter
-    def state(self, value: dict) -> None:
-        self.generator.bit_generator.state = value
 
 
 @dataclass(frozen=True)
@@ -77,8 +53,8 @@ class TrainingEngine:
         self.dataset = dataset
         self.minibatch_size = int(minibatch_size)
         self.batches_per_epoch = n_train // self.minibatch_size
-        self.shuffle_stream = RngStream(seed, "shuffle")
-        self.superbatch_stream = RngStream(seed, "superbatch")
+        self.shuffle_rng = seeded_stream(seed, "shuffle")
+        self.superbatch_rng = seeded_stream(seed, "superbatch")
         self.forward_passes = 0
         self.backward_passes = 0
         self._epoch = -1
@@ -88,7 +64,7 @@ class TrainingEngine:
 
     def _advance_to_epoch(self, epoch: int) -> None:
         while self._epoch < epoch:
-            self._perm = self.shuffle_stream.generator.permutation(self.dataset.train_x.shape[0])
+            self._perm = self.shuffle_rng.permutation(self.dataset.train_x.shape[0])
             self._epoch += 1
 
     def batch_for_step(self, step: int) -> tuple[np.ndarray, np.ndarray]:
@@ -160,7 +136,7 @@ class TrainingEngine:
             raise InvalidArgumentError(
                 f"superbatch size {size} not in [1, {self.batches_per_epoch}] minibatches"
             )
-        indices = self.superbatch_stream.generator.choice(self.batches_per_epoch, size=size, replace=False)
+        indices = self.superbatch_rng.choice(self.batches_per_epoch, size=size, replace=False)
         return Superbatch(indices)
 
     # -- committed steps -------------------------------------------------------
@@ -186,16 +162,19 @@ class TrainingEngine:
     # -- determinism support ----------------------------------------------------
 
     def data_state(self) -> dict[str, Any]:
-        """Opaque cursor over shuffle/superbatch streams and the epoch permutation."""
+        """Opaque cursor over the shuffle/superbatch streams and the epoch permutation.
+
+        It shares nothing with the engine: a bit generator's ``state`` is a fresh dict on read, copied on write.
+        """
         return {
             "epoch": self._epoch,
             "perm": self._perm.copy(),
-            "shuffle": self.shuffle_stream.state,
-            "superbatch": self.superbatch_stream.state,
+            "shuffle": self.shuffle_rng.bit_generator.state,
+            "superbatch": self.superbatch_rng.bit_generator.state,
         }
 
     def restore_data_state(self, state: dict[str, Any]) -> None:
         self._epoch = state["epoch"]
         self._perm = state["perm"].copy()
-        self.shuffle_stream.state = state["shuffle"]
-        self.superbatch_stream.state = state["superbatch"]
+        self.shuffle_rng.bit_generator.state = state["shuffle"]
+        self.superbatch_rng.bit_generator.state = state["superbatch"]

@@ -8,8 +8,8 @@ from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
-from .datasets import Dataset, kind_args, make_dataset
-from .engine import RngStream, TrainingEngine
+from .datasets import Dataset, kind_args, make_dataset, seeded_stream
+from .engine import TrainingEngine
 from .errors import ConfigError, InvalidArgumentError
 from .models import (
     TASK_CLASSIFICATION,
@@ -163,7 +163,7 @@ class TrainingRun:
         self.seed = int(seed)
         self.dataset = make_dataset(cfg.dataset)
         factory, args = kind_args("model", cfg.model, MODELS)
-        self.model = factory(self.dataset, RngStream(self.seed, "init").generator, **args)
+        self.model = factory(self.dataset, seeded_stream(self.seed, "init"), **args)
         factory, args = optimizer_args(cfg.optimizer)
         self.optimizer = factory(**args)
         self.engine = TrainingEngine(self.model, self.dataset, cfg.optimizer.get("minibatch_size", 32), self.seed)
@@ -224,12 +224,14 @@ class TrainingRun:
         return record
 
     def advance_to(self, step: int) -> None:
-        while self._step < step:
-            self.step_once()
+        """Train up to ``step``. A diverging step overflows; the non-finite gradient check
+        ends the run, so numpy's warnings on the way there are not printed."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            while self._step < step:
+                self.step_once()
 
     def run(self) -> list[RunRecord]:
-        while self._step < self.total_steps:
-            self.step_once()
+        self.advance_to(self.total_steps)
         return self.records
 
     def summary(self) -> dict[str, Any]:

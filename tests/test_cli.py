@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import re
@@ -188,6 +189,26 @@ class TestTrainCommand:
         assert not os.path.exists(os.path.join(out, "trace_seed1.csv"))
 
 
+class TestRunSeeds:
+    # A run seed is any non-negative integer, and distinct seeds are distinct runs.
+    @pytest.mark.parametrize("seeds,argv", [
+        ([-1, 2**64 - 1], []),
+        ([1], ["--seed", "-1"]),
+    ], ids=["negative-in-config", "negative-override"])
+    def test_negative_seed_exits_1_and_writes_nothing(self, tmp_path, capsys, seeds, argv):
+        raw = schedule_raw(tmp_path, seeds=seeds)
+        path = write_config(tmp_path, raw)
+        assert main(["train", "--config", path, *argv, "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith("config error: seeds must be")
+        assert not os.path.exists(raw["out_dir"])
+
+    def test_seeds_equal_modulo_2_to_the_64_are_different_runs(self, tmp_path):
+        path = write_config(tmp_path, schedule_raw(tmp_path, seeds=[0, 2**64]))
+        assert main(["train", "--config", path, "--quiet"]) == 0
+        traces = [Path(tmp_path, "out", f"trace_seed{seed}.csv").read_bytes() for seed in (0, 2**64)]
+        assert len({hashlib.sha256(trace).hexdigest() for trace in traces}) == 2
+
+
 class TestExitCodes:
     def test_malformed_config_is_1(self, tmp_path):
         path = os.path.join(str(tmp_path), "bad.json")
@@ -208,6 +229,20 @@ class TestExitCodes:
     def test_oversized_superbatch_scan_is_1(self, tmp_path):
         path = write_config(tmp_path, schedule_raw(tmp_path))
         assert main(["sb-scan", "--config", path, "--sizes", "1000", "--quiet"]) == 1
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_non_positive_trials_is_1(self, tmp_path, capsys, trials):
+        raw = schedule_raw(tmp_path)
+        path = write_config(tmp_path, raw)
+        assert main(["sb-scan", "--config", path, "--sizes", "1", "--trials", trials, "--quiet"]) == 1
+        assert capsys.readouterr().err == f"config error: --trials must be a positive integer, not {trials}\n"
+        assert not os.path.exists(raw["out_dir"])
+
+    def test_diverging_sweep_is_2_without_numpy_warnings(self, tmp_path, capsys):
+        # The seed lr overflows the first step; only the run's own error reaches stderr.
+        path = write_config(tmp_path, tuner_raw(tmp_path, epochs=1))
+        assert main(["sweep", "--config", path, "--values", "1e308", "--quiet"]) == 2
+        assert capsys.readouterr().err == "error: non-finite gradient\n"
 
 
 COSINE = {"kind": "schedule", "variant": "cosine", "seed_lr": 0.1}

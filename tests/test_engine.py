@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from quadtune.datasets import make_blobs, make_bowl_dataset, make_linear_regression
-from quadtune.engine import RngStream, Superbatch, TrainingEngine
+from quadtune.datasets import make_blobs, make_bowl_dataset, make_linear_regression, seeded_stream
+from quadtune.engine import Superbatch, TrainingEngine
 from quadtune.errors import InvalidArgumentError
 from quadtune.models import LinearRegression, LogisticRegression, QuadraticBowl
+from quadtune.optim import Momentum, Sgd, restore_snapshot, take_snapshot
 
 
 def make_engine(seed=0, n=640, mb=32):
@@ -14,17 +15,17 @@ def make_engine(seed=0, n=640, mb=32):
 
 
 def test_rng_streams_independent_and_replayable():
-    a = RngStream(7, "shuffle")
-    b = RngStream(7, "superbatch")
-    assert not np.array_equal(a.generator.random(8), b.generator.random(8))
-    c = RngStream(7, "shuffle")
-    state = c.state
-    first = c.generator.random(5)
-    c.state = state
-    assert np.array_equal(first, c.generator.random(5))
+    a = seeded_stream(7, "shuffle")
+    b = seeded_stream(7, "superbatch")
+    assert not np.array_equal(a.random(8), b.random(8))
+    c = seeded_stream(7, "shuffle")
+    state = c.bit_generator.state
+    first = c.random(5)
+    c.bit_generator.state = state
+    assert np.array_equal(first, c.random(5))
     for purpose in ("weights", "noise"):
         with pytest.raises(InvalidArgumentError):
-            RngStream(7, purpose)
+            seeded_stream(7, purpose)
 
 
 def test_superbatch_normalizes_and_validates():
@@ -177,12 +178,48 @@ def test_data_state_round_trip():
     assert np.array_equal(x_before, x_after)
 
 
+def test_rollback_replays_across_epoch_boundaries():
+    # The tuner's rollback: snapshot params, optimizer state and data cursor at one
+    # step, train on up to 3 epochs, restore, and the same steps must replay bit for bit.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=30, deadline=None)
+    @hypothesis.given(seed=st.integers(0, 2**70 - 1), mb=st.integers(1, 12), data=st.data())
+    def check(seed, mb, data):
+        engine = make_engine(seed, n=60, mb=mb)
+        per_epoch = engine.batches_per_epoch
+        snap_step = data.draw(st.integers(0, 2 * per_epoch), label="snap_step")
+        restore_step = data.draw(st.integers(snap_step, snap_step + 3 * per_epoch), label="restore_step")
+        sb_size = data.draw(st.integers(1, per_epoch), label="sb_size")
+        params, opt = engine.model.params, Momentum(0.9)
+
+        def train(steps):
+            seen = []
+            for step in steps:
+                x, y = engine.batch_for_step(step)
+                sb = engine.draw_superbatch(sb_size)
+                _, grads = engine.loss_and_gradient(x, y)
+                engine.commit(opt, opt.compute_direction(params, grads), 0.01)
+                seen.append((x.tobytes(), y.tobytes(), sb))
+            return seen
+
+        train(range(snap_step))
+        snap = take_snapshot(params, opt, 0.01, snap_step, rng_cursor=engine.data_state())
+        first = train(range(snap_step, restore_step))
+        final = params.tobytes()
+        restore_snapshot(snap, params, opt)
+        engine.restore_data_state(snap.rng_cursor)
+        assert train(range(snap_step, restore_step)) == first
+        assert params.tobytes() == final
+
+    check()
+
+
 def test_blobs_learnable_by_logreg():
     ds = make_blobs(n=100, k=2, sep=5.0, seed=1)
     model = LogisticRegression(2, 2)
     engine = TrainingEngine(model, ds, 16, seed=0)
-    from quadtune.optim import Sgd
-
     opt = Sgd()
     for step in range(200):
         x, y = engine.batch_for_step(step)
