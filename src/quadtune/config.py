@@ -10,6 +10,9 @@ from .datasets import DATASETS, kind_args, spec_args
 from .errors import ConfigError
 from .runner import MODELS, optimizer_args, policy_args
 
+# 2**800 has 241 decimal digits, so trace_seed<N>.csv fits a 255-byte file name.
+SEED_BITS = 800
+
 
 @dataclass
 class RunConfig:
@@ -31,6 +34,8 @@ class RunConfig:
         if args["epochs"] < 1:
             raise ConfigError("epochs must be a positive integer")
         seeds = args["seeds"]
+        if any(seed.bit_length() > SEED_BITS for seed in seeds):
+            raise ConfigError(f"seeds must be below 2**{SEED_BITS}, so that trace_seed<N>.csv is a valid file name")
         if not seeds or min(seeds) < 0 or len(set(seeds)) != len(seeds):
             raise ConfigError(f"seeds must be a non-empty list of distinct non-negative integers, not {list(seeds)}")
         if args.get("eval_every") is not None and args["eval_every"] < 1:
@@ -55,6 +60,8 @@ class RunConfig:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        except ValueError as exc:  # an integer too long to convert
+            raise ConfigError(f"{path}: {exc}") from exc
         return cls.from_dict(dict(raw, **overrides) if type(raw) is dict else raw)
 
     def to_dict(self) -> dict[str, Any]:

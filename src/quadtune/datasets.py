@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DataConsistencyError, IdxFormatError, IdxReadError, InvalidArgumentError
+from .errors import ConfigError, InvalidArgumentError, QuadtuneError
 from .models import TASK_CLASSIFICATION, TASK_NONE, TASK_REGRESSION
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -53,14 +53,14 @@ class Dataset:
 
     def __post_init__(self):
         if self.train_x.shape[0] != self.train_y.shape[0]:
-            raise DataConsistencyError("train feature/label row counts differ")
+            raise QuadtuneError("train feature/label row counts differ")
         if self.test_x.shape[0] != self.test_y.shape[0]:
-            raise DataConsistencyError("test feature/label row counts differ")
+            raise QuadtuneError("test feature/label row counts differ")
         if self.task == TASK_CLASSIFICATION:
             k = self.num_classes or 0
             for labels in (self.train_y, self.test_y):
                 if labels.size and (labels.min() < 0 or labels.max() >= k):
-                    raise DataConsistencyError("class index out of range")
+                    raise QuadtuneError("class index out of range")
 
 
 def _split(x: np.ndarray, y: np.ndarray, task: str, num_classes=None, train_fraction=0.8) -> Dataset:
@@ -141,7 +141,7 @@ def make_bowl_dataset(n: int = 256) -> Dataset:
 def _read_exact(f, count: int, path: str) -> bytes:
     data = f.read(count)
     if len(data) != count:
-        raise IdxReadError(f"{path}: truncated file (wanted {count} bytes, got {len(data)})")
+        raise QuadtuneError(f"{path}: truncated file (wanted {count} bytes, got {len(data)})")
     return data
 
 
@@ -158,12 +158,12 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     with open(images_path, "rb") as f:
         magic = _read_be32(f, images_path)
         if magic != IDX_IMAGE_MAGIC:
-            raise IdxFormatError(f"{images_path}: bad image magic 0x{magic:08x}")
+            raise QuadtuneError(f"{images_path}: bad image magic 0x{magic:08x}")
         count = _read_be32(f, images_path)
         rows = _read_be32(f, images_path)
         cols = _read_be32(f, images_path)
         if count < 0 or rows <= 0 or cols <= 0:
-            raise IdxFormatError(f"{images_path}: invalid dimensions")
+            raise QuadtuneError(f"{images_path}: invalid dimensions")
         raw = _read_exact(f, count * rows * cols, images_path)
     images = np.frombuffer(raw, dtype=np.uint8).astype(np.float64).reshape(count, rows * cols)
     images /= 255.0
@@ -171,13 +171,13 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     with open(labels_path, "rb") as f:
         magic = _read_be32(f, labels_path)
         if magic != IDX_LABEL_MAGIC:
-            raise IdxFormatError(f"{labels_path}: bad label magic 0x{magic:08x}")
+            raise QuadtuneError(f"{labels_path}: bad label magic 0x{magic:08x}")
         label_count = _read_be32(f, labels_path)
         raw = _read_exact(f, label_count, labels_path)
     labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
 
     if label_count != count:
-        raise DataConsistencyError(
+        raise QuadtuneError(
             f"image count {count} != label count {label_count}"
         )
     num_classes = int(labels.max()) + 1 if labels.size else 0

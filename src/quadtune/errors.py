@@ -2,7 +2,7 @@
 
 
 class QuadtuneError(Exception):
-    """Base class for all package errors."""
+    """A package error; the CLI exits 2 on it, and 1 on the two subclasses below."""
 
 
 class ConfigError(QuadtuneError):
@@ -11,39 +11,3 @@ class ConfigError(QuadtuneError):
 
 class InvalidArgumentError(QuadtuneError):
     """A precondition on an argument was violated."""
-
-
-class DegenerateDesignError(QuadtuneError):
-    """Too few distinct abscissae to determine a quadratic."""
-
-
-class InvalidSampleError(QuadtuneError):
-    """A non-finite loss sample reached the fitter."""
-
-
-class InvalidGradientError(QuadtuneError):
-    """A gradient with NaN/Inf entries was passed to an optimizer."""
-
-
-class StaleStepError(QuadtuneError):
-    """A pending step was committed out of order."""
-
-
-class IncompatibleSnapshotError(QuadtuneError):
-    """Snapshot shape does not match the live model/optimizer."""
-
-
-class IdxFormatError(QuadtuneError):
-    """IDX file has a wrong magic number or malformed header."""
-
-
-class IdxReadError(QuadtuneError):
-    """IDX file is truncated or unreadable."""
-
-
-class DataConsistencyError(QuadtuneError):
-    """Image and label files disagree on the example count."""
-
-
-class RangeTestError(QuadtuneError):
-    """The LR range test diverged immediately at lr_min."""

@@ -17,7 +17,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .errors import IncompatibleSnapshotError, InvalidArgumentError, InvalidGradientError, StaleStepError
+from .errors import InvalidArgumentError, QuadtuneError
 
 
 @dataclass
@@ -62,7 +62,7 @@ class Optimizer:
         if grads.shape != np.asarray(params).shape:
             raise InvalidArgumentError("gradient shape does not match parameters")
         if not np.isfinite(grads).all():
-            raise InvalidGradientError("non-finite gradient")
+            raise QuadtuneError("non-finite gradient")
         direction, payload = self._direction(np.asarray(params, dtype=np.float64), grads)
         return PendingStep(direction=direction, token=self.step_count, payload=payload)
 
@@ -71,7 +71,7 @@ class Optimizer:
         if lr <= 0.0:
             raise InvalidArgumentError("lr must be positive")
         if pending.token != self.step_count:
-            raise StaleStepError("pending step does not match the optimizer's committed state")
+            raise QuadtuneError("pending step does not match the optimizer's committed state")
         self._committed_update(params, lr, pending)
         self._apply(pending.payload)
         self.step_count += 1
@@ -97,7 +97,7 @@ class Optimizer:
 
     def load_state_dict(self, state: dict[str, Any]) -> None:
         if state.get("kind") != type(self).__name__:
-            raise IncompatibleSnapshotError(
+            raise QuadtuneError(
                 f"snapshot for {state.get('kind')} cannot restore a {type(self).__name__}"
             )
         self._check_buffers(state["buffers"])
@@ -112,7 +112,7 @@ class Optimizer:
             current = self._buffers().get(key)
             if isinstance(value, np.ndarray) and isinstance(current, np.ndarray):
                 if value.shape != current.shape:
-                    raise IncompatibleSnapshotError(f"buffer {key!r} shape mismatch")
+                    raise QuadtuneError(f"buffer {key!r} shape mismatch")
 
 
 class Sgd(Optimizer):
@@ -211,6 +211,6 @@ def take_snapshot(
 def restore_snapshot(snapshot: Snapshot, params: np.ndarray, optimizer: Optimizer) -> None:
     """Restore parameters (in place) and optimizer state from a snapshot."""
     if snapshot.params.shape != params.shape:
-        raise IncompatibleSnapshotError("snapshot parameter shape does not match the model")
+        raise QuadtuneError("snapshot parameter shape does not match the model")
     params[:] = snapshot.params
     optimizer.load_state_dict(snapshot.opt_state)

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateDesignError, InvalidArgumentError, InvalidSampleError
+from .errors import InvalidArgumentError, QuadtuneError
 from .stats import least_squares_quadratic
 
 # Below this (relative) size the curvature term is treated as zero to avoid
@@ -91,9 +91,9 @@ def fit_quadratic(samples: Sequence[LossSample]) -> QuadFit:
     minimizes the sum of squared residuals.
     """
     if any(not math.isfinite(s.loss) for s in samples):
-        raise InvalidSampleError("non-finite loss in fit input")
+        raise QuadtuneError("non-finite loss in fit input")
     if len(samples) < 3:
-        raise DegenerateDesignError("need at least 3 samples")
+        raise QuadtuneError("need at least 3 samples")
     xs = np.array([s.epsilon for s in samples], dtype=np.float64)
     ys = np.array([s.loss for s in samples], dtype=np.float64)
     k0, k1, k2 = least_squares_quadratic(xs, ys)

@@ -193,7 +193,9 @@ class TrainingRun:
             train_loss = outcome.train_loss
             sb_loss = outcome.superbatch_loss
             event = ";".join(outcome.events)
-            probe_fwd = self.tuner.state.counters.probe_forward_passes
+            probe_fwd = self.records[-1].probe_fwd if self.records else 0
+            if outcome.probe is not None:
+                probe_fwd += outcome.probe.forward_passes
         else:
             lr = lr_at(self.schedule, step, self.total_steps)
             mom = momentum_at(self.schedule, step, self.total_steps)

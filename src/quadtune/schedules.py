@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .engine import TrainingEngine
-from .errors import InvalidArgumentError, RangeTestError
+from .errors import InvalidArgumentError, QuadtuneError
 from .optim import Optimizer
 
 _FRACTION_TOL = 1e-9
@@ -207,14 +207,14 @@ def lr_range_test(
         loss, grads = engine.loss_and_gradient(x, y)
         if not math.isfinite(loss):
             if i <= 1:
-                raise RangeTestError("loss diverged immediately; use a smaller lr_min")
+                raise QuadtuneError("loss diverged immediately; use a smaller lr_min")
             exploded_at = lr
             break
         smoothed = loss if smoothed is None else RANGE_TEST_SMOOTHING * smoothed + (1.0 - RANGE_TEST_SMOOTHING) * loss
         curve.append((lr, smoothed))
         if smoothed > RANGE_TEST_EXPLOSION_FACTOR * best:
             if i <= 1:
-                raise RangeTestError("loss diverged immediately; use a smaller lr_min")
+                raise QuadtuneError("loss diverged immediately; use a smaller lr_min")
             exploded_at = lr
             break
         best = min(best, smoothed)
@@ -222,6 +222,6 @@ def lr_range_test(
         engine.commit(optimizer, pending, lr)
 
     if not curve:
-        raise RangeTestError("no finite losses recorded; use a smaller lr_min")
+        raise QuadtuneError("no finite losses recorded; use a smaller lr_min")
     best_lr = min(curve, key=lambda pair: pair[1])[0]
     return RangeTestResult(curve, suggested_max_lr=best_lr / RANGE_TEST_SUGGESTION_DIV, exploded_at_lr=exploded_at)

@@ -7,7 +7,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateDesignError, InvalidArgumentError
+from .errors import InvalidArgumentError, QuadtuneError
 
 
 @dataclass(frozen=True)
@@ -41,13 +41,11 @@ def least_squares_quadratic(xs: Sequence[float], ys: Sequence[float]) -> tuple[f
     if x.shape != y.shape or x.ndim != 1:
         raise InvalidArgumentError("xs and ys must be 1-D and the same length")
     if np.unique(x).size < 3:
-        raise DegenerateDesignError("need at least 3 distinct abscissae for a quadratic fit")
+        raise QuadtuneError("need at least 3 distinct abscissae for a quadratic fit")
 
     m = float(x.mean())
     xc = x - m
     s = float(np.max(np.abs(xc)))
-    if s == 0.0:
-        raise DegenerateDesignError("abscissae are all identical")
     u = xc / s
 
     design = np.column_stack([np.ones_like(u), u, u * u])

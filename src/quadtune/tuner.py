@@ -11,8 +11,8 @@ snapshotted and rolled back if the drop rate degrades over the following window.
 
 from __future__ import annotations
 
+import collections
 import enum
-import logging
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -30,8 +30,6 @@ from .quadprobe import (
     probe_points,
     propose_epsilon,
 )
-
-logger = logging.getLogger(__name__)
 
 # Floor for drop rates used as denominators / frozen absolute thresholds.
 _TINY_RATE = 1e-12
@@ -131,21 +129,44 @@ class Counters:
 
 
 @dataclass
+class StepOutcome:
+    """What the tuner measured and decided at one step."""
+
+    step: int
+    events: list[str]
+    lr: float
+    train_loss: float
+    superbatch_loss: Optional[float]  # start loss of the window opened at this step
+    rate: Optional[float]  # drop rate of the window closed at this step
+    saturated: Optional[bool]  # the exploit phase's saturation verdict
+    probe: Optional[ProbeRound]
+    window_forward_passes: int
+
+
+@dataclass
 class TunerState:
     phase: Phase
     current_lr: float
     saturation: SaturationState = field(default_factory=SaturationState)
     last_change_snapshot: Optional[Snapshot] = None
     drop_rate_before_change: Optional[float] = None
-    counters: Counters = field(default_factory=Counters)
+    log: list[StepOutcome] = field(default_factory=list)  # the steps that measured or decided something
 
-
-@dataclass
-class StepOutcome:
-    events: list[str]
-    lr: float
-    train_loss: float
-    superbatch_loss: Optional[float]
+    @property
+    def counters(self) -> Counters:
+        """Counts over the log; a round that got no bound from its loss at the current lr is not a recompute."""
+        events = collections.Counter(event for out in self.log for event in out.events)
+        probes = [out.probe for out in self.log if out.probe is not None]
+        return Counters(
+            recomputes=sum(p.bound > 0.0 for p in probes),
+            accepts=events[EVENT_ACCEPT],
+            rejects_phase=events[EVENT_REJECT_PHASE],
+            rejects_saturation=events[EVENT_REJECT_SATURATION],
+            rejects_other=events[EVENT_REJECT_OTHER],
+            rollbacks=events[EVENT_ROLLBACK],
+            probe_forward_passes=sum(p.forward_passes for p in probes),
+            window_forward_passes=sum(out.window_forward_passes for out in self.log),
+        )
 
 
 def phase_at(step: int, cfg: TunerConfig) -> Phase:
@@ -198,7 +219,8 @@ def saturation_check(
 class ProbeRound:
     """Losses probed around lr eta at one step on one fixed superbatch, and their fit.
 
-    The tuner fills in the verdict fields as far as the round got.
+    The tuner fills in the verdict fields as far as the round got; ``event``
+    stays a reject until the phase filter rejects the proposal or the tuner applies it.
     """
 
     step: int
@@ -211,6 +233,8 @@ class ProbeRound:
     proposal: Optional[EpsilonProposal] = None
     filtered: Optional[EpsilonProposal] = None
     applied_epsilon: Optional[float] = None
+    event: str = EVENT_REJECT_OTHER
+    forward_passes: int = 0
 
 
 def probe_round(
@@ -221,19 +245,21 @@ def probe_round(
     The loss at eta sets the trust-region bound on |eps|; a non-finite or
     zero loss there ends the round with no samples. Non-finite probes are
     dropped, and the fit is None when fewer than 3 distinct epsilons remain.
+    A probe whose perturbed parameters overflow runs no forward, so
+    ``forward_passes`` is taken from the engine's own count.
     """
+    passes = engine.forward_passes
     loss_at_zero = engine.perturbed_loss(direction, eta, sb)
     bound = epsilon_bound(cfg.epsilon_threshold_r, max(loss_at_zero, 0.0)) if math.isfinite(loss_at_zero) else 0.0
     probe = ProbeRound(step, sb, eta, loss_at_zero, bound)
-    if bound <= 0.0:
-        return probe
-
-    for eps in probe_points(eta, bound, cfg.n_probes, cfg.span_fraction):
-        loss = loss_at_zero if eps == 0.0 else engine.perturbed_loss(direction, eta + eps, sb)
-        if math.isfinite(loss):
-            probe.samples.append(LossSample(epsilon=eps, loss=loss))
-    if len({s.epsilon for s in probe.samples}) >= 3:
-        probe.fit = fit_quadratic(probe.samples)
+    if bound > 0.0:
+        for eps in probe_points(eta, bound, cfg.n_probes, cfg.span_fraction):
+            loss = loss_at_zero if eps == 0.0 else engine.perturbed_loss(direction, eta + eps, sb)
+            if math.isfinite(loss):
+                probe.samples.append(LossSample(epsilon=eps, loss=loss))
+        if len({s.epsilon for s in probe.samples}) >= 3:
+            probe.fit = fit_quadratic(probe.samples)
+    probe.forward_passes = engine.forward_passes - passes
     return probe
 
 
@@ -256,25 +282,19 @@ class LearningRateTuner:
         self.engine = engine
         self.optimizer = optimizer
         self.state = TunerState(phase=phase_at(0, cfg), current_lr=cfg.seed_lr)
-        self.recompute_log: list[ProbeRound] = []
         self._window: Optional[_Window] = None
         self._last_rate: Optional[float] = None
 
     # -- window bookkeeping ----------------------------------------------------
 
-    def _window_superbatch_loss(self, sb: Superbatch) -> float:
-        loss = self.engine.superbatch_loss(sb)
-        self.state.counters.window_forward_passes += sb.size_in_minibatches
-        return loss
-
     def _open_window(self, step: int) -> float:
         sb = self.engine.draw_superbatch(self.cfg.superbatch_size)
-        start_loss = self._window_superbatch_loss(sb)
+        start_loss = self.engine.superbatch_loss(sb)
         self._window = _Window(superbatch=sb, start_loss=start_loss, start_step=step)
         return start_loss
 
     def _close_window(self, step: int) -> float:
-        end_loss = self._window_superbatch_loss(self._window.superbatch)
+        end_loss = self.engine.superbatch_loss(self._window.superbatch)
         return drop_rate(self._window.start_loss, end_loss, step - self._window.start_step)
 
     # -- rollback ----------------------------------------------------------------
@@ -292,7 +312,6 @@ class LearningRateTuner:
         st.current_lr = snap.lr
         st.last_change_snapshot = None
         st.drop_rate_before_change = None
-        st.counters.rollbacks += 1
         # Remeasure the reference rate at the restored lr before gating again.
         if st.saturation.mode is SaturationMode.RELATIVE:
             st.saturation = replace(st.saturation, reference_rate=None)
@@ -300,42 +319,26 @@ class LearningRateTuner:
 
     # -- the probe round -----------------------------------------------------------
 
-    def recompute(self, step: int, direction, rate_before: Optional[float]) -> str:
-        """One probe round at the current lr; returns the resulting event tag."""
+    def recompute(self, step: int, direction, rate_before: Optional[float]) -> ProbeRound:
+        """One probe round at the current lr; the round's ``event`` is its verdict."""
         cfg, st = self.cfg, self.state
         sb = self.engine.draw_superbatch(cfg.superbatch_size)
         eta = st.current_lr
-
-        # A probe whose perturbed parameters overflow runs no forward, so the
-        # engine's own count is the work done.
-        passes = self.engine.forward_passes
         probe = probe_round(self.engine, cfg, step, direction, eta, sb)
-        st.counters.probe_forward_passes += self.engine.forward_passes - passes
-        self.recompute_log.append(probe)
         if probe.bound <= 0.0:
-            st.counters.rejects_other += 1
-            if not math.isfinite(probe.loss_at_zero):
-                logger.warning("step %d: probe at current lr is non-finite; keeping lr", step)
-            return EVENT_REJECT_OTHER
-        st.counters.recomputes += 1
-
+            return probe
         if probe.fit is None:
-            st.counters.rejects_other += 1
-            logger.warning("step %d: too few finite probes for a fit; keeping lr", step)
             probe.proposal = probe.filtered = EpsilonProposal(ProposalKind.REJECT_NO_MINIMUM)
-            return EVENT_REJECT_OTHER
+            return probe
 
         probe.proposal = propose_epsilon(probe.fit, probe.bound)
         probe.filtered = filtered = phase_filter(st.phase, probe.proposal)
         if not filtered.is_applicable:
-            st.counters.rejects_phase += 1
-            return EVENT_REJECT_PHASE
-
+            probe.event = EVENT_REJECT_PHASE
+            return probe
         eps = filtered.epsilon
         if eta + eps <= 0.0:
-            st.counters.rejects_other += 1
-            logger.debug("step %d: proposal would drive lr nonpositive; rejected", step)
-            return EVENT_REJECT_OTHER
+            return probe
 
         if cfg.rollback_enabled:
             st.last_change_snapshot = take_snapshot(
@@ -349,20 +352,24 @@ class LearningRateTuner:
         st.current_lr = eta + eps
         if st.saturation.mode is SaturationMode.RELATIVE:
             st.saturation = replace(st.saturation, reference_rate=None)
-        st.counters.accepts += 1
         probe.applied_epsilon = eps
-        return EVENT_ACCEPT
+        probe.event = EVENT_ACCEPT
+        return probe
 
     # -- one training step ------------------------------------------------------------
 
     def run_step(self, step: int, x, y) -> StepOutcome:
-        """Advance training by one committed step, recomputing lr at window boundaries."""
+        """Advance training by one committed step, recomputing lr at window boundaries.
+
+        The outcome is appended to ``state.log`` when the step measured a window or decided something.
+        """
         cfg, st = self.cfg, self.state
         events: list[str] = []
-        boundary = step % cfg.recompute_window == 0
+        closing = step % cfg.recompute_window == 0 and self._window is not None
+        rate = saturated = probe = None
         rolled_back = False
 
-        if boundary and self._window is not None:
+        if closing:
             rate = self._close_window(step)
             if st.last_change_snapshot is not None:
                 if self.maybe_rollback(rate):
@@ -385,26 +392,22 @@ class LearningRateTuner:
         train_loss, grads = self.engine.loss_and_gradient(x, y)
         pending = self.optimizer.compute_direction(self.engine.model.params, grads)
 
-        if boundary and self._window is not None and not rolled_back:
-            eligible = True
+        if closing and not rolled_back:
             if st.phase is Phase.EXPLOIT:
-                saturated, next_state = saturation_check(st.saturation, self._last_rate, cfg)
-                st.saturation = next_state
+                saturated, st.saturation = saturation_check(st.saturation, self._last_rate, cfg)
                 if not saturated:
-                    eligible = False
-                    st.counters.rejects_saturation += 1
                     events.append(EVENT_REJECT_SATURATION)
-            if eligible:
-                events.append(self.recompute(step, pending.direction, self._last_rate))
+            if saturated is not False:
+                probe = self.recompute(step, pending.direction, self._last_rate)
+                events.append(probe.event)
 
         window_loss = None
-        if boundary or self._window is None:
+        if closing or self._window is None:
             window_loss = self._open_window(step)
 
         self.engine.commit(self.optimizer, pending, st.current_lr)
-        return StepOutcome(
-            events=events,
-            lr=st.current_lr,
-            train_loss=train_loss,
-            superbatch_loss=window_loss,
-        )
+        window_passes = cfg.superbatch_size * ((rate is not None) + (window_loss is not None))
+        outcome = StepOutcome(step, events, st.current_lr, train_loss, window_loss, rate, saturated, probe, window_passes)
+        if events or window_loss is not None:
+            st.log.append(outcome)
+        return outcome

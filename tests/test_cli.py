@@ -208,6 +208,19 @@ class TestRunSeeds:
         traces = [Path(tmp_path, "out", f"trace_seed{seed}.csv").read_bytes() for seed in (0, 2**64)]
         assert len({hashlib.sha256(trace).hexdigest() for trace in traces}) == 2
 
+    @pytest.mark.parametrize("seed", [2**800, 10**300], ids=["2**800", "10**300"])
+    def test_seed_too_long_for_its_file_name_exits_1_before_training(self, tmp_path, capsys, seed):
+        raw = schedule_raw(tmp_path, seeds=[1, seed])
+        assert main(["train", "--config", write_config(tmp_path, raw), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            "config error: seeds must be below 2**800, so that trace_seed<N>.csv is a valid file name\n")
+        assert not os.path.exists(raw["out_dir"])
+
+    def test_longest_seed_names_its_trace(self, tmp_path):
+        path = write_config(tmp_path, schedule_raw(tmp_path, seeds=[2**800 - 1], epochs=1))
+        assert main(["train", "--config", path, "--quiet"]) == 0
+        assert Path(tmp_path, "out", f"trace_seed{2**800 - 1}.csv").is_file()
+
 
 class TestExitCodes:
     def test_malformed_config_is_1(self, tmp_path):
@@ -215,6 +228,14 @@ class TestExitCodes:
         with open(path, "w") as f:
             f.write("{ not json")
         assert main(["train", "--config", path, "--quiet"]) == 1
+
+    def test_integer_too_long_to_read_is_1(self, tmp_path, capsys):
+        raw = schedule_raw(tmp_path, epochs=0)
+        path = os.path.join(str(tmp_path), "cfg.json")
+        Path(path).write_text(json.dumps(raw).replace('"epochs": 0', '"epochs": ' + "9" * 5000))
+        assert main(["train", "--config", path, "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {path}: Exceeds the limit (4300 digits)")
+        assert not os.path.exists(raw["out_dir"])
 
     def test_unknown_kind_is_1(self, tmp_path):
         path = write_config(tmp_path, schedule_raw(tmp_path, model={"kind": "resnet"}))

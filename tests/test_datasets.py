@@ -12,7 +12,7 @@ from quadtune.datasets import (
     make_linear_regression,
     make_moons,
 )
-from quadtune.errors import DataConsistencyError, IdxFormatError, IdxReadError, InvalidArgumentError
+from quadtune.errors import InvalidArgumentError, QuadtuneError
 
 
 def test_split_is_80_20():
@@ -106,7 +106,7 @@ def test_idx_round_trip(tmp_path):
 
 def test_idx_bad_magic(tmp_path):
     images_path, labels_path, _ = _write_idx_pair(str(tmp_path), image_magic=0)
-    with pytest.raises(IdxFormatError):
+    with pytest.raises(QuadtuneError, match="bad image magic 0x00000000"):
         load_idx(images_path, labels_path)
 
 
@@ -115,13 +115,13 @@ def test_idx_truncated(tmp_path):
     data = open(images_path, "rb").read()
     with open(images_path, "wb") as f:
         f.write(data[:-100])
-    with pytest.raises(IdxReadError):
+    with pytest.raises(QuadtuneError, match=r"truncated file \(wanted 3136 bytes, got 3036\)"):
         load_idx(images_path, labels_path)
 
 
 def test_idx_count_mismatch(tmp_path):
     images_path, labels_path, _ = _write_idx_pair(str(tmp_path), label_count=3)
-    with pytest.raises(DataConsistencyError):
+    with pytest.raises(QuadtuneError, match="image count 4 != label count 3"):
         load_idx(images_path, labels_path)
 
 

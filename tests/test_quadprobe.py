@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from quadtune.errors import DegenerateDesignError, InvalidArgumentError, InvalidSampleError
+from quadtune.errors import InvalidArgumentError, QuadtuneError
 from quadtune.quadprobe import (
     EpsilonProposal,
     LossSample,
@@ -103,11 +103,11 @@ class TestFitQuadratic:
         assert abs(shifted.k2 - base.k2) < 1e-10 * scale
 
     def test_rejects_degenerate_and_nonfinite(self):
-        with pytest.raises(DegenerateDesignError):
+        with pytest.raises(QuadtuneError, match="need at least 3 samples"):
             fit_quadratic(quad_samples(1.0, 1.0, 1.0, [0.0, 0.1]))
-        with pytest.raises(DegenerateDesignError):
+        with pytest.raises(QuadtuneError, match="need at least 3 distinct abscissae"):
             fit_quadratic(quad_samples(1.0, 1.0, 1.0, [0.1, 0.1, 0.1, 0.2]))
-        with pytest.raises(InvalidSampleError):
+        with pytest.raises(QuadtuneError, match="non-finite loss in fit input"):
             fit_quadratic([LossSample(0.0, 1.0), LossSample(0.1, math.nan), LossSample(0.2, 1.0)])
 
 

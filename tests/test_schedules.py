@@ -3,7 +3,7 @@ import pytest
 
 from quadtune.datasets import make_bowl_dataset, make_moons
 from quadtune.engine import TrainingEngine
-from quadtune.errors import InvalidArgumentError, RangeTestError
+from quadtune.errors import InvalidArgumentError, QuadtuneError
 from quadtune.models import Mlp, QuadraticBowl
 from quadtune.optim import Sgd
 from quadtune.schedules import (
@@ -184,7 +184,7 @@ class TestRangeTest:
 
     def test_immediate_divergence_raises(self):
         engine = bowl_engine()
-        with pytest.raises(RangeTestError):
+        with pytest.raises(QuadtuneError, match="loss diverged immediately; use a smaller lr_min"):
             lr_range_test(engine, Sgd(), 1e18, 1e20, 10)
 
     def test_validates_arguments(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quadtune.errors import DegenerateDesignError, InvalidArgumentError
+from quadtune.errors import InvalidArgumentError, QuadtuneError
 from quadtune.stats import fd_gradient, least_squares_quadratic, summarize
 
 
@@ -73,9 +73,9 @@ def test_quadratic_residual_orthogonality():
 
 
 def test_quadratic_degenerate_design():
-    with pytest.raises(DegenerateDesignError):
+    with pytest.raises(QuadtuneError, match="need at least 3 distinct abscissae"):
         least_squares_quadratic([0.1, 0.1, 0.1], [1.0, 1.0, 1.0])
-    with pytest.raises(DegenerateDesignError):
+    with pytest.raises(QuadtuneError, match="need at least 3 distinct abscissae"):
         least_squares_quadratic([0.1, 0.2, 0.1], [1.0, 1.0, 1.0])
 
 

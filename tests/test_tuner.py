@@ -1,3 +1,6 @@
+import logging
+import math
+
 import numpy as np
 import pytest
 
@@ -9,8 +12,11 @@ from quadtune.optim import Momentum, Sgd
 from quadtune.quadprobe import EpsilonProposal, ProposalKind
 from quadtune.tuner import (
     EVENT_ACCEPT,
+    EVENT_PHASE_SWITCH,
     EVENT_REJECT_OTHER,
     EVENT_REJECT_PHASE,
+    EVENT_REJECT_SATURATION,
+    EVENT_ROLLBACK,
     LearningRateTuner,
     Phase,
     SaturationMode,
@@ -182,7 +188,7 @@ class TestRecompute:
         accept_events = [o for o in outcomes if EVENT_ACCEPT in o.events]
         assert accept_events, "expected an accepted increase"
         assert tuner.state.current_lr > 0.01
-        rec = tuner.recompute_log[0]
+        rec = next(out.probe for out in tuner.state.log if out.probe is not None)
         assert rec.applied_epsilon is not None and rec.applied_epsilon > 0.0
 
     def test_explore_rejects_decrease(self):
@@ -233,7 +239,8 @@ class TestRecompute:
         for step in range(200):
             x, y = engine.batch_for_step(step)
             tuner.run_step(step, x, y)
-        applied = [r for r in tuner.recompute_log if r.applied_epsilon is not None]
+        probes = [out.probe for out in tuner.state.log if out.probe is not None]
+        applied = [r for r in probes if r.applied_epsilon is not None]
         assert applied, "run should accept at least one change"
         for rec in applied:
             loss_at_zero = next(s.loss for s in rec.samples if s.epsilon == 0.0)
@@ -247,17 +254,28 @@ class TestRecompute:
                                           r=1e6, span_fraction=1.0)
         tuner.state.phase = Phase.EXPLOIT
         direction = -model.gradient()
-        event = tuner.recompute(0, direction, rate_before=1.0)
-        assert event == EVENT_REJECT_OTHER
-        assert tuner.state.counters.rejects_other == 1
+        probe = tuner.recompute(0, direction, rate_before=1.0)
+        assert probe.event == EVENT_REJECT_OTHER
+        assert probe.filtered.is_applicable and probe.eta + probe.filtered.epsilon <= 0.0
+        assert probe.applied_epsilon is None
         assert tuner.state.current_lr == 0.05
 
     def test_nonfinite_probes_rejected(self):
         tuner, engine, model = bowl_tuner(seed_lr=0.05, window=5)
         huge = np.full_like(model.params, 1e300)
-        event = tuner.recompute(0, huge, rate_before=1.0)
-        assert event == EVENT_REJECT_OTHER
+        probe = tuner.recompute(0, huge, rate_before=1.0)
+        assert probe.event == EVENT_REJECT_OTHER
+        assert probe.applied_epsilon is None
         assert tuner.state.current_lr == 0.05
+
+    def test_nonfinite_loss_at_current_lr_logs_nothing(self, caplog):
+        tuner, engine, model = bowl_tuner(seed_lr=0.05, window=5)
+        with caplog.at_level(logging.DEBUG):
+            probe = tuner.recompute(0, np.full_like(model.params, np.inf), rate_before=1.0)
+        assert caplog.records == []
+        assert probe.event == EVENT_REJECT_OTHER
+        assert not math.isfinite(probe.loss_at_zero)
+        assert probe.samples == [] and probe.fit is None
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowed_probe_counts_no_forward_passes(self):
@@ -269,9 +287,9 @@ class TestRecompute:
         direction = engine.loss_and_gradient(*engine.batch_for_step(0))[1]
         direction[16] = 1.5e308
         passes = engine.forward_passes
-        tuner.recompute(0, direction, rate_before=None)
-        assert len(tuner.recompute_log[0].samples) == 4
-        assert tuner.state.counters.probe_forward_passes == engine.forward_passes - passes == 4 * 4
+        probe = tuner.recompute(0, direction, rate_before=None)
+        assert len(probe.samples) == 4
+        assert probe.forward_passes == engine.forward_passes - passes == 4 * 4
 
 
 class TestRollback:
@@ -325,7 +343,7 @@ class TestRollback:
         assert tuner.maybe_rollback(0.2) is False   # unchanged rate: healthy
         assert tuner.maybe_rollback(0.11) is False  # above 0.5x: healthy
         assert tuner.maybe_rollback(0.09) is True   # below 0.5x: reverted
-        assert tuner.state.counters.rollbacks == 1
+        assert tuner.state.last_change_snapshot is None
 
     def test_rollback_disabled_never_triggers(self):
         tuner, engine, model = bowl_tuner(seed_lr=0.01, window=5, explore=0.9,
@@ -401,3 +419,42 @@ class TestPhaseConsistencyEndToEnd:
         # exactly one switch
         flips = sum(1 for a, b in zip(phases, phases[1:]) if a is not b)
         assert flips == 1
+
+
+def test_phase_and_saturation_machine_on_a_bowl():
+    # Drives the whole step machine for arbitrary window, explore budget and run length.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(seed_lr=st.floats(0.001, 0.3), window=st.integers(1, 20), total=st.integers(2, 150),
+                      threshold=st.floats(1.5, 100.0), diag=st.sampled_from([(1.0, 10.0), (10.0, 10.0)]),
+                      data=st.data())
+    def check(seed_lr, window, total, threshold, diag, data):
+        explore = data.draw(st.integers(0, total - 1), label="explore_steps")
+        tuner, engine, _ = bowl_tuner(seed_lr=seed_lr, window=window, explore=explore, total=total, diag=diag,
+                                      saturation_threshold_rel=threshold)
+        explore_steps = tuner.cfg.explore_steps()
+        assert explore_steps == explore
+        lr, frozen, switches = seed_lr, None, []
+        for step in range(total):
+            out = tuner.run_step(step, *engine.batch_for_step(step))
+            if EVENT_PHASE_SWITCH in out.events:
+                switches.append(step)
+            assert (out.rate is not None) == (step > 0 and step % window == 0)
+            if step < explore_steps:
+                assert out.saturated is None and EVENT_REJECT_SATURATION not in out.events
+            assert (EVENT_REJECT_SATURATION in out.events) == (out.saturated is False)
+            if EVENT_ROLLBACK not in out.events:
+                assert out.lr >= lr if step < explore_steps else out.lr <= lr
+            lr = out.lr
+            saturation = tuner.state.saturation
+            if frozen is not None:
+                assert saturation == frozen
+            elif saturation.mode is SaturationMode.ABSOLUTE:
+                frozen = saturation
+        assert switches == ([explore_steps] if explore_steps > 0 else [])
+        # Only the steps that measured a window or switched phase are logged.
+        assert [out.step for out in tuner.state.log] == sorted({*range(0, total, window), *switches})
+
+    check()
