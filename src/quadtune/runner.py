@@ -10,7 +10,7 @@ import numpy as np
 
 from .datasets import Dataset, kind_args, make_dataset, seeded_stream
 from .engine import TrainingEngine
-from .errors import ConfigError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .models import (
     TASK_CLASSIFICATION,
     TASK_REGRESSION,
@@ -59,14 +59,14 @@ CSV_COLUMNS = [f.name for f in fields(RunRecord)]
 
 def _classes(dataset: Dataset, model: str) -> int:
     if dataset.num_classes is None:
-        raise ConfigError(f"{model} model requires a classification dataset")
+        raise InvalidArgumentError(f"{model} model requires a classification dataset")
     return dataset.num_classes
 
 
 def _build_mlp(dataset: Dataset, rng: np.random.Generator, hidden=(32,), task=None) -> Model:
     task = task or dataset.task
     if task not in (TASK_CLASSIFICATION, TASK_REGRESSION):
-        raise ConfigError(f"mlp cannot train on task {task!r}")
+        raise InvalidArgumentError(f"mlp cannot train on task {task!r}")
     n_out = _classes(dataset, "classification mlp") if task == TASK_CLASSIFICATION else 1
     return Mlp([dataset.n_features, *hidden, n_out], task=task, rng=rng)
 
@@ -126,7 +126,7 @@ def policy_args(policy: dict[str, Any]) -> tuple:
     if kind == "tuner":
         return kind_args("lr_policy", policy, LR_POLICIES)
     if kind != "schedule" or policy.get("variant") == "tuner":
-        raise ConfigError("lr_policy must have kind 'tuner', or kind 'schedule' and a schedule variant")
+        raise InvalidArgumentError("lr_policy must have kind 'tuner', or kind 'schedule' and a schedule variant")
     tuner_keys = LR_POLICIES["tuner"][1]
     probe = {key: tuner_keys[key] for key in ("superbatch_size", "n_probes", "epsilon_threshold", "span_fraction")}
     return kind_args("lr_policy", policy, LR_POLICIES, "variant", kind=str, **probe)

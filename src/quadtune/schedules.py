@@ -205,14 +205,10 @@ def lr_range_test(
         lr = lr_min * ratio ** (i / (steps - 1))
         x, y = engine.batch_for_step(i)
         loss, grads = engine.loss_and_gradient(x, y)
-        if not math.isfinite(loss):
-            if i <= 1:
-                raise QuadtuneError("loss diverged immediately; use a smaller lr_min")
-            exploded_at = lr
-            break
-        smoothed = loss if smoothed is None else RANGE_TEST_SMOOTHING * smoothed + (1.0 - RANGE_TEST_SMOOTHING) * loss
-        curve.append((lr, smoothed))
-        if smoothed > RANGE_TEST_EXPLOSION_FACTOR * best:
+        if math.isfinite(loss):
+            smoothed = loss if smoothed is None else RANGE_TEST_SMOOTHING * smoothed + (1.0 - RANGE_TEST_SMOOTHING) * loss
+            curve.append((lr, smoothed))
+        if not math.isfinite(loss) or smoothed > RANGE_TEST_EXPLOSION_FACTOR * best:
             if i <= 1:
                 raise QuadtuneError("loss diverged immediately; use a smaller lr_min")
             exploded_at = lr
@@ -221,7 +217,5 @@ def lr_range_test(
         pending = optimizer.compute_direction(engine.model.params, grads)
         engine.commit(optimizer, pending, lr)
 
-    if not curve:
-        raise QuadtuneError("no finite losses recorded; use a smaller lr_min")
     best_lr = min(curve, key=lambda pair: pair[1])[0]
     return RangeTestResult(curve, suggested_max_lr=best_lr / RANGE_TEST_SUGGESTION_DIV, exploded_at_lr=exploded_at)

@@ -12,7 +12,7 @@ import pytest
 from quadtune.cli import main, write_trace
 from quadtune.config import RunConfig
 from quadtune.datasets import DATASETS
-from quadtune.errors import ConfigError
+from quadtune.errors import InvalidArgumentError
 from quadtune.runner import CSV_COLUMNS, LR_POLICIES, MODELS, OPTIMIZERS, RunRecord
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -73,22 +73,22 @@ class TestConfig:
         path = os.path.join(str(tmp_path), "bad.json")
         with open(path, "w") as f:
             f.write('{\n  "dataset": {,}\n}\n')
-        with pytest.raises(ConfigError, match="line 2"):
+        with pytest.raises(InvalidArgumentError, match="line 2"):
             RunConfig.from_json_file(path)
 
     def test_missing_keys_rejected(self):
-        with pytest.raises(ConfigError, match="lr_policy"):
+        with pytest.raises(InvalidArgumentError, match="lr_policy"):
             RunConfig.from_dict({"dataset": {"kind": "moons"}, "model": {"kind": "mlp"},
                                  "optimizer": {"kind": "sgd"}, "epochs": 1, "seeds": [1]})
 
     def test_bad_values_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidArgumentError):
             RunConfig.from_dict(schedule_raw(tmp_path, seeds=[]))
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidArgumentError):
             RunConfig.from_dict(schedule_raw(tmp_path, epochs=0))
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidArgumentError):
             RunConfig.from_dict(schedule_raw(tmp_path, model={"kind": "cnn"}))
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidArgumentError):
             RunConfig.from_dict(schedule_raw(tmp_path, lr_policy={"kind": "schedule", "variant": "nope"}))
 
 
@@ -363,6 +363,14 @@ class TestSweepCommand:
         sweep_rows = read_csv(os.path.join(str(tmp_path), "out", "sweep.csv"))
         value_summary = json.load(open(os.path.join(str(tmp_path), "out", "seed_lr_0.1", "summary.json")))
         assert float(sweep_rows[1][1]) == pytest.approx(value_summary["aggregate"]["final_test_acc"]["mean"])
+
+    @pytest.mark.parametrize("values", ["0.1,0.1000001", "0.1,0.1"])
+    def test_values_sharing_a_directory_exit_1_and_write_nothing(self, tmp_path, capsys, values):
+        raw = tuner_raw(tmp_path, epochs=1)
+        assert main(["sweep", "--config", write_config(tmp_path, raw), "--values", values, "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            "config error: --values must differ in their first 6 significant digits; two of them write seed_lr_0.1\n")
+        assert not os.path.exists(raw["out_dir"])
 
     def test_requires_tuner_policy(self, tmp_path):
         path = write_config(tmp_path, schedule_raw(tmp_path))

@@ -103,7 +103,7 @@ class TestFitQuadratic:
         assert abs(shifted.k2 - base.k2) < 1e-10 * scale
 
     def test_rejects_degenerate_and_nonfinite(self):
-        with pytest.raises(QuadtuneError, match="need at least 3 samples"):
+        with pytest.raises(QuadtuneError, match="need at least 3 distinct abscissae"):
             fit_quadratic(quad_samples(1.0, 1.0, 1.0, [0.0, 0.1]))
         with pytest.raises(QuadtuneError, match="need at least 3 distinct abscissae"):
             fit_quadratic(quad_samples(1.0, 1.0, 1.0, [0.1, 0.1, 0.1, 0.2]))

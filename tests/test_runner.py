@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from quadtune.config import RunConfig
-from quadtune.errors import ConfigError, InvalidArgumentError
+from quadtune.errors import InvalidArgumentError
 from quadtune.models import Mlp, Model
 from quadtune.runner import TrainingRun, aggregate_summaries, run_all_seeds, schedule_from_policy, tuner_config_from_policy
 from quadtune.schedules import CosineDecay, StepSchedule, lr_at
@@ -302,9 +302,9 @@ def test_null_is_taken_only_where_the_default_is_none():
     policy = {"kind": "schedule", "variant": "one_cycle", "max_lr": 0.5, "momentum_range": None}
     assert schedule_from_policy(policy, batches_per_epoch=10).momentum_range is None
     assert schedule_cfg(model={"kind": "mlp", "task": None}).model["task"] is None
-    with pytest.raises(ConfigError, match="hidden"):
+    with pytest.raises(InvalidArgumentError, match="hidden"):
         schedule_cfg(model={"kind": "mlp", "hidden": None})
-    with pytest.raises(ConfigError, match="weight_decay"):
+    with pytest.raises(InvalidArgumentError, match="weight_decay"):
         schedule_cfg(optimizer={"kind": "sgd", "weight_decay": None})
 
 
@@ -317,7 +317,7 @@ def test_bowl_matrix_wins_over_diag():
 def test_unknown_model_kind_is_config_error():
     cfg = schedule_cfg()
     cfg.model = {"kind": "mlp", "task": "none"}
-    with pytest.raises(ConfigError):
+    with pytest.raises(InvalidArgumentError):
         TrainingRun(cfg, 1)
 
 

@@ -187,6 +187,24 @@ class TestRangeTest:
         with pytest.raises(QuadtuneError, match="loss diverged immediately; use a smaller lr_min"):
             lr_range_test(engine, Sgd(), 1e18, 1e20, 10)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_nonfinite_loss_after_two_steps_ends_the_curve(self, bad):
+        # A stable ramp whose fourth loss (step 3) is non-finite: the ramp stops there
+        # without raising, and the curve holds only the three finite points before it.
+        engine = bowl_engine()
+        real, calls = engine.loss_and_gradient, []
+
+        def loss_and_gradient(x, y):
+            loss, grads = real(x, y)
+            calls.append(loss)
+            return (bad if len(calls) == 4 else loss), grads
+
+        engine.loss_and_gradient = loss_and_gradient
+        result = lr_range_test(engine, Sgd(), 0.01, 0.15, 40)
+        assert result.exploded_at_lr == 0.01 * (0.15 / 0.01) ** (3 / 39)
+        assert [lr for lr, _ in result.curve] == [0.01 * (0.15 / 0.01) ** (i / 39) for i in range(3)]
+        assert all(np.isfinite(loss) for _, loss in result.curve)
+
     def test_validates_arguments(self):
         engine = bowl_engine()
         with pytest.raises(InvalidArgumentError):

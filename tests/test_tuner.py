@@ -421,13 +421,19 @@ class TestPhaseConsistencyEndToEnd:
         assert flips == 1
 
 
+def test_diverging_run_driven_directly_warns_nothing():
+    # seed_lr 0.8654 diverges on this bowl until a probe round's losses are huge but finite;
+    # the fit's residuals then square past the float limit, which must not warn.
+    drive(*bowl_tuner(seed_lr=0.8654, window=16, explore=113, total=143)[:2], 143)
+
+
 def test_phase_and_saturation_machine_on_a_bowl():
     # Drives the whole step machine for arbitrary window, explore budget and run length.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
     @hypothesis.settings(max_examples=60, deadline=None)
-    @hypothesis.given(seed_lr=st.floats(0.001, 0.3), window=st.integers(1, 20), total=st.integers(2, 150),
+    @hypothesis.given(seed_lr=st.floats(0.001, 1.0), window=st.integers(1, 20), total=st.integers(2, 150),
                       threshold=st.floats(1.5, 100.0), diag=st.sampled_from([(1.0, 10.0), (10.0, 10.0)]),
                       data=st.data())
     def check(seed_lr, window, total, threshold, diag, data):
