@@ -28,7 +28,7 @@ class Superbatch:
     minibatch_indices: tuple[int, ...]
 
     def __init__(self, minibatch_indices):
-        indices = tuple(sorted(int(i) for i in minibatch_indices))
+        indices = tuple(sorted(map(int, minibatch_indices)))
         if len(indices) == 0:
             raise InvalidArgumentError("superbatch must contain at least one minibatch")
         if len(set(indices)) != len(indices):
@@ -59,6 +59,10 @@ class TrainingEngine:
         self.backward_passes = 0
         self._epoch = -1
         self._perm = np.arange(n_train)
+        # The last superbatch gathered, the permutation its rows came from, and
+        # those rows. `_perm` is only ever rebound, never written in place, so
+        # identity with both says the rows are still the superbatch's rows.
+        self._gathered: tuple = (None, None, None, None)
 
     # -- minibatch plumbing --------------------------------------------------
 
@@ -95,20 +99,25 @@ class TrainingEngine:
     def superbatch_loss(self, sb: Superbatch) -> float:
         """Unweighted mean of minibatch losses over the superbatch.
 
-        All its rows are gathered at once and the model evaluates them as
-        stacked minibatches (`Model.minibatch_losses`). The losses are added
-        in index order, as a loop of `forward_loss` over each `minibatch`
-        would add them; it still counts one forward pass per minibatch.
+        Its rows are gathered once per superbatch and epoch permutation, and
+        the model evaluates them as stacked minibatches
+        (`Model.minibatch_losses`). The losses are added in index order, as a
+        loop of `forward_loss` over each `minibatch` would add them; it still
+        counts one forward pass per minibatch.
         """
         indices = sb.minibatch_indices
-        if indices[0] < 0 or indices[-1] >= self.batches_per_epoch:
-            raise InvalidArgumentError("minibatch index out of range")
         size = self.minibatch_size
-        rows = self._perm[: self.batches_per_epoch * size].reshape(-1, size)[list(indices)].reshape(-1)
+        gathered_sb, gathered_perm, x, y = self._gathered
+        if sb is not gathered_sb or self._perm is not gathered_perm:
+            if indices[0] < 0 or indices[-1] >= self.batches_per_epoch:
+                raise InvalidArgumentError("minibatch index out of range")
+            rows = self._perm[: self.batches_per_epoch * size].reshape(-1, size)[list(indices)].reshape(-1)
+            x, y = self.dataset.train_x[rows], self.dataset.train_y[rows]
+            self._gathered = (sb, self._perm, x, y)
         self.forward_passes += len(indices)
         total = 0.0
-        for loss in self.model.minibatch_losses(self.dataset.train_x[rows], self.dataset.train_y[rows], size):
-            total += float(loss)
+        for loss in self.model.minibatch_losses(x, y, size).tolist():
+            total += loss
         return total / len(indices)
 
     def perturbed_loss(self, direction: np.ndarray, step_size: float, sb: Superbatch) -> float:
@@ -117,18 +126,18 @@ class TrainingEngine:
         Returns NaN when the perturbed parameters are non-finite so the
         caller can discard the probe.
         """
-        saved = self.model.params.copy()
+        params = self.model.params
+        saved = params.copy()
         try:
             # Divergent probes are expected to overflow, in the perturbation
             # or in the loss; the non-finite value itself is the discard marker.
             with np.errstate(over="ignore", invalid="ignore"):
-                perturbed = saved - step_size * direction
-                if not np.isfinite(perturbed).all():
+                np.subtract(saved, step_size * direction, out=params)
+                if not np.isfinite(params).all():
                     return math.nan
-                self.model.params[:] = perturbed
                 return self.superbatch_loss(sb)
         finally:
-            self.model.params[:] = saved
+            params[:] = saved
 
     def draw_superbatch(self, size: int) -> Superbatch:
         """Sample `size` distinct minibatch indices from the superbatch stream."""
@@ -137,7 +146,7 @@ class TrainingEngine:
                 f"superbatch size {size} not in [1, {self.batches_per_epoch}] minibatches"
             )
         indices = self.superbatch_rng.choice(self.batches_per_epoch, size=size, replace=False)
-        return Superbatch(indices)
+        return Superbatch(indices.tolist())
 
     # -- committed steps -------------------------------------------------------
 

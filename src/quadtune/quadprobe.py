@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgumentError, QuadtuneError
+from .errors import InvalidArgumentError
 from .stats import least_squares_quadratic
 
 # Below this (relative) size the curvature term is treated as zero to avoid
@@ -90,15 +90,13 @@ def fit_quadratic(samples: Sequence[LossSample]) -> QuadFit:
     Exact interpolation when exactly 3 distinct epsilons are given; otherwise
     minimizes the sum of squared residuals.
     """
-    if any(not math.isfinite(s.loss) for s in samples):
-        raise QuadtuneError("non-finite loss in fit input")
     xs = np.array([s.epsilon for s in samples], dtype=np.float64)
     ys = np.array([s.loss for s in samples], dtype=np.float64)
     k0, k1, k2 = least_squares_quadratic(xs, ys)
     # Losses near the float limit square to inf, which is the honest rms of such a fit.
     with np.errstate(over="ignore"):
         residuals = ys - (k0 + k1 * xs + k2 * xs * xs)
-        rms = float(np.sqrt(np.mean(residuals * residuals)))
+        rms = math.sqrt(float((residuals * residuals).sum()) / len(residuals))
     return QuadFit(k0=k0, k1=k1, k2=k2, residual_rms=rms)
 
 

@@ -34,24 +34,30 @@ def least_squares_quadratic(xs: Sequence[float], ys: Sequence[float]) -> tuple[f
 
     Solves the normal equations on a centered and scaled design so the fit
     stays well conditioned even for abscissae of order 1e-5 (small learning
-    rates). Exact interpolation for three distinct points.
+    rates). Exact interpolation for three distinct points. Raises
+    QuadtuneError on a non-finite value or fewer than 3 distinct abscissae.
     """
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise InvalidArgumentError("xs and ys must be 1-D and the same length")
-    if np.unique(x).size < 3:
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise QuadtuneError("non-finite abscissa or ordinate in quadratic fit input")
+    n = x.size
+    # With every value finite, a set counts the distinct abscissae as np.unique would.
+    if len(set(x.tolist())) < 3:
         raise QuadtuneError("need at least 3 distinct abscissae for a quadratic fit")
 
-    m = float(x.mean())
+    m = float(x.sum()) / n
     xc = x - m
-    s = float(np.max(np.abs(xc)))
+    s = float(np.abs(xc).max())
     u = xc / s
 
-    design = np.column_stack([np.ones_like(u), u, u * u])
-    gram = design.T @ design
-    rhs = design.T @ y
-    a0, a1, a2 = np.linalg.solve(gram, rhs)
+    design = np.empty((n, 3))
+    design[:, 0] = 1.0
+    design[:, 1] = u
+    design[:, 2] = u * u
+    a0, a1, a2 = np.linalg.solve(design.T @ design, design.T @ y)
 
     # De-scale and de-center back to the original x coordinates.
     b2 = a2 / (s * s)

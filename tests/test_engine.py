@@ -98,13 +98,28 @@ def test_perturbed_loss_matches_bowl_closed_form():
         assert engine.perturbed_loss(g, t, sb) == pytest.approx(expected, rel=1e-12)
 
 
+class RaisingLinearRegression(LinearRegression):
+    def minibatch_losses(self, x, y, size):
+        raise RuntimeError("model failed")
+
+
 def test_perturbed_loss_restores_bit_exact():
+    # The probe writes its perturbation into params itself, so every way out must restore
+    # them: a finite loss, an overflowing perturbation (the NaN marker) and a raising model.
     engine = make_engine()
-    engine.model.params[:] = [0.37, -1.2, 0.011]
-    before = engine.model.params.tobytes()
+    params = engine.model.params
+    params[:] = [0.37, -1.2, 0.011]
+    before = params.tobytes()
     sb = engine.draw_superbatch(4)
-    engine.perturbed_loss(np.array([1.0, 2.0, 3.0]), 0.123, sb)
-    assert engine.model.params.tobytes() == before
+    assert np.isfinite(engine.perturbed_loss(np.array([1.0, 2.0, 3.0]), 0.123, sb))
+    assert params.tobytes() == before
+    assert np.isnan(engine.perturbed_loss(np.array([1e308, 2.0, 3.0]), 10.0, sb))
+    assert params.tobytes() == before
+    raising = TrainingEngine(RaisingLinearRegression(2), engine.dataset, engine.minibatch_size, seed=0)
+    raising.model.params[:] = params
+    with pytest.raises(RuntimeError, match="model failed"):
+        raising.perturbed_loss(np.array([1.0, 2.0, 3.0]), 0.123, sb)
+    assert raising.model.params.tobytes() == before
 
 
 def test_perturbed_loss_nonfinite_marker():
@@ -113,6 +128,56 @@ def test_perturbed_loss_nonfinite_marker():
     d = np.full_like(engine.model.params, np.inf)
     assert np.isnan(engine.perturbed_loss(d, 1.0, sb))
     assert np.all(np.isfinite(engine.model.params))
+
+
+def test_superbatch_loss_never_serves_stale_rows():
+    # Random interleavings of everything that moves the rows or the params: every
+    # superbatch loss must equal the mean of forward losses on freshly gathered minibatches.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ops = st.sampled_from(["step", "draw", "loss", "fresh", "perturbed", "save", "restore", "commit"])
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(seed=st.integers(0, 2**32), program=st.lists(st.tuples(ops, st.integers(0, 2**16)), max_size=40))
+    def check(seed, program):
+        engine = make_engine(seed, n=96, mb=16)  # 6 minibatches per epoch
+        params, opt = engine.model.params, Sgd()
+        step = 0
+        drawn = [engine.draw_superbatch(2)]
+        states = [engine.data_state()]
+
+        def reference(sb):
+            total = sum(engine.forward_loss(*engine.minibatch(i)) for i in sb.minibatch_indices)
+            return total / sb.size_in_minibatches
+
+        for op, k in program:
+            sb = drawn[k % len(drawn)]
+            if op == "step":
+                step += k % 9
+                engine.batch_for_step(step)
+            elif op == "draw":
+                drawn.append(engine.draw_superbatch(1 + k % engine.batches_per_epoch))
+                assert engine.superbatch_loss(drawn[-1]) == reference(drawn[-1])
+            elif op == "loss":
+                assert engine.superbatch_loss(sb) == reference(sb)
+            elif op == "fresh":
+                assert engine.superbatch_loss(Superbatch(sb.minibatch_indices)) == reference(sb)
+            elif op == "perturbed":
+                direction = np.array([1.0, -2.0, 0.5])
+                loss = engine.perturbed_loss(direction, k / 2**16, sb)
+                saved = params.copy()
+                params[:] = saved - k / 2**16 * direction
+                assert loss == reference(sb)
+                params[:] = saved
+            elif op == "save":
+                states.append(engine.data_state())
+            elif op == "restore":
+                engine.restore_data_state(states[k % len(states)])
+            else:
+                _, grads = engine.loss_and_gradient(*engine.batch_for_step(step))
+                engine.commit(opt, opt.compute_direction(params, grads), 0.05)
+
+    check()
 
 
 def test_cost_counters():

@@ -107,8 +107,50 @@ class TestFitQuadratic:
             fit_quadratic(quad_samples(1.0, 1.0, 1.0, [0.0, 0.1]))
         with pytest.raises(QuadtuneError, match="need at least 3 distinct abscissae"):
             fit_quadratic(quad_samples(1.0, 1.0, 1.0, [0.1, 0.1, 0.1, 0.2]))
-        with pytest.raises(QuadtuneError, match="non-finite loss in fit input"):
+        with pytest.raises(QuadtuneError, match="non-finite abscissa or ordinate"):
             fit_quadratic([LossSample(0.0, 1.0), LossSample(0.1, math.nan), LossSample(0.2, 1.0)])
+
+
+def parent_fit(samples):
+    """The fit as first written, with NumPy's wrappers; the fast path must match it bit for bit."""
+    xs = np.array([s.epsilon for s in samples], dtype=np.float64)
+    ys = np.array([s.loss for s in samples], dtype=np.float64)
+    assert np.unique(xs).size >= 3
+    m = float(np.mean(xs))
+    xc = xs - m
+    s = float(np.max(np.abs(xc)))
+    u = xc / s
+    design = np.column_stack([np.ones_like(u), u, u * u])
+    a0, a1, a2 = np.linalg.solve(design.T @ design, design.T @ ys)
+    b2 = a2 / (s * s)
+    b1 = a1 / s
+    k0, k1, k2 = float(a0 - b1 * m + b2 * m * m), float(b1 - 2.0 * b2 * m), float(b2)
+    residuals = ys - (k0 + k1 * xs + k2 * xs * xs)
+    return k0, k1, k2, float(np.sqrt(np.mean(residuals * residuals)))
+
+
+def test_fit_is_bit_identical_to_the_wrapper_formulas():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        n=st.sampled_from([3, 5, 7, 9]),
+        eta=st.floats(1e-6, 10.0),
+        bound=st.floats(1e-9, 10.0),
+        span=st.floats(0.01, 1.0),
+        data=st.data(),
+    )
+    def check(n, eta, bound, span, data):
+        grid = probe_points(eta, bound, n, span)
+        kept = data.draw(st.lists(st.sampled_from(range(n)), min_size=3, max_size=n, unique=True), label="kept")
+        losses = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=len(kept), max_size=len(kept)), label="losses")
+        samples = [LossSample(grid[i], loss) for i, loss in zip(sorted(kept), losses)]
+        hypothesis.assume(len({s.epsilon for s in samples}) >= 3)
+        fit = fit_quadratic(samples)
+        assert (fit.k0, fit.k1, fit.k2, fit.residual_rms) == parent_fit(samples)
+
+    check()
 
 
 class TestEpsilonBound:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,22 @@ def test_quadratic_degenerate_design():
         least_squares_quadratic([0.1, 0.1, 0.1], [1.0, 1.0, 1.0])
     with pytest.raises(QuadtuneError, match="need at least 3 distinct abscissae"):
         least_squares_quadratic([0.1, 0.2, 0.1], [1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "xs, ys",
+    [
+        ([0.0, 1.0, 2.0, float("nan")], [1.0] * 4),
+        ([0.0, 1.0, float("inf")], [1.0] * 3),
+        ([0.0, 1.0, 2.0], [1.0, float("nan"), 1.0]),
+    ],
+    ids=["nan_abscissa", "inf_abscissa", "nan_ordinate"],
+)
+def test_quadratic_rejects_nonfinite_input(xs, ys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadtuneError, match="non-finite abscissa or ordinate"):
+            least_squares_quadratic(xs, ys)
 
 
 def test_fd_gradient_quadratic():
