@@ -149,12 +149,8 @@ def _read_be32(f, path: str) -> int:
     return struct.unpack(">i", _read_exact(f, 4, path))[0]
 
 
-def load_idx(images_path: str, labels_path: str) -> Dataset:
-    """Parse an IDX image/label file pair into a classification dataset.
-
-    Pixels are scaled to [0, 1] by 1/255. The resulting dataset places all
-    examples in the train split; pair train and test files via two calls.
-    """
+def _read_idx_pair(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
+    """Images scaled to [0, 1] by 1/255, one row each, their labels, and the image size."""
     with open(images_path, "rb") as f:
         magic = _read_be32(f, images_path)
         if magic != IDX_IMAGE_MAGIC:
@@ -177,20 +173,24 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
 
     if label_count != count:
-        raise QuadtuneError(
-            f"image count {count} != label count {label_count}"
-        )
-    num_classes = int(labels.max()) + 1 if labels.size else 0
-    empty_x = np.zeros((0, rows * cols))
-    empty_y = np.zeros(0, dtype=np.int64)
-    return Dataset(
-        train_x=images,
-        train_y=labels,
-        test_x=empty_x,
-        test_y=empty_y,
-        task=TASK_CLASSIFICATION,
-        num_classes=num_classes,
-    )
+        raise QuadtuneError(f"image count {count} != label count {label_count}")
+    return images, labels, (rows, cols)
+
+
+def load_idx(images_path: str, labels_path: str, test_images_path: Optional[str] = None,
+             test_labels_path: Optional[str] = None) -> Dataset:
+    """A classification dataset from an IDX image/label file pair and an optional test pair
+    (without one, the test split is empty); classes are counted over both label sets."""
+    if (test_images_path is None) != (test_labels_path is None):
+        raise InvalidArgumentError("idx dataset needs test_images and test_labels together")
+    train_x, train_y, size = _read_idx_pair(images_path, labels_path)
+    test_x, test_y = np.zeros((0, train_x.shape[1])), np.zeros(0, dtype=np.int64)
+    if test_images_path is not None:
+        test_x, test_y, test_size = _read_idx_pair(test_images_path, test_labels_path)
+        if test_size != size:
+            raise QuadtuneError(f"{test_images_path}: image size {test_size} != train image size {size}")
+    num_classes = int(np.concatenate([train_y, test_y]).max(initial=-1)) + 1
+    return Dataset(train_x, train_y, test_x, test_y, TASK_CLASSIFICATION, num_classes)
 
 
 def _json_type(want) -> str:
@@ -269,7 +269,8 @@ DATASETS = {
     "moons": (make_moons, {"n": int, "noise": float, "seed": int}),
     "linreg": (make_linear_regression, {"n": int, "dim": int, "noise": float, "seed": int}),
     "bowl": (make_bowl_dataset, {"n": int}),
-    "idx": (load_idx, {"images": ("images_path", str), "labels": ("labels_path", str)}),
+    "idx": (load_idx, {"images": ("images_path", str), "labels": ("labels_path", str),
+                       "test_images": ("test_images_path", str), "test_labels": ("test_labels_path", str)}),
 }
 
 

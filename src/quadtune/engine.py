@@ -21,6 +21,14 @@ from .models import TASK_CLASSIFICATION, TASK_NONE, Model
 from .optim import Optimizer, PendingStep
 
 
+def mean_loss(losses) -> float:
+    """Mean of minibatch losses, added one by one in the order given."""
+    total = 0.0
+    for loss in losses:
+        total += loss
+    return total / len(losses)
+
+
 @dataclass(frozen=True)
 class Superbatch:
     """A fixed set of distinct minibatch indices evaluated as one mean loss."""
@@ -97,28 +105,32 @@ class TrainingEngine:
         return self.model.loss_and_gradient(x, y)
 
     def superbatch_loss(self, sb: Superbatch) -> float:
-        """Unweighted mean of minibatch losses over the superbatch.
+        """Unweighted mean of minibatch losses over the superbatch."""
+        return mean_loss(self.superbatch_losses(sb))
 
-        Its rows are gathered once per superbatch and epoch permutation, and
-        the model evaluates them as stacked minibatches
-        (`Model.minibatch_losses`). The losses are added in index order, as a
-        loop of `forward_loss` over each `minibatch` would add them; it still
-        counts one forward pass per minibatch.
-        """
+    def superbatch_losses(self, sb: Superbatch, known: Optional[dict[int, float]] = None) -> list[float]:
+        """Minibatch losses in index order; those in `known`, measured at the current params
+        and epoch permutation, are taken from there. The others are evaluated as stacked
+        minibatches (`Model.minibatch_losses`), one forward pass each. A whole superbatch's
+        rows are gathered once per superbatch and epoch permutation."""
         indices = sb.minibatch_indices
-        size = self.minibatch_size
-        gathered_sb, gathered_perm, x, y = self._gathered
-        if sb is not gathered_sb or self._perm is not gathered_perm:
-            if indices[0] < 0 or indices[-1] >= self.batches_per_epoch:
-                raise InvalidArgumentError("minibatch index out of range")
-            rows = self._perm[: self.batches_per_epoch * size].reshape(-1, size)[list(indices)].reshape(-1)
-            x, y = self.dataset.train_x[rows], self.dataset.train_y[rows]
-            self._gathered = (sb, self._perm, x, y)
-        self.forward_passes += len(indices)
-        total = 0.0
-        for loss in self.model.minibatch_losses(x, y, size).tolist():
-            total += loss
-        return total / len(indices)
+        if indices[0] < 0 or indices[-1] >= self.batches_per_epoch:
+            raise InvalidArgumentError("minibatch index out of range")
+        todo = indices if not known or known.keys().isdisjoint(indices) else [i for i in indices if i not in known]
+        if todo:
+            size = self.minibatch_size
+            gathered_sb, gathered_perm, x, y = self._gathered
+            if todo is not indices or sb is not gathered_sb or self._perm is not gathered_perm:
+                rows = self._perm[: self.batches_per_epoch * size].reshape(-1, size)[list(todo)].reshape(-1)
+                x, y = self.dataset.train_x[rows], self.dataset.train_y[rows]
+                if todo is indices:  # a partial gather is not the superbatch's rows
+                    self._gathered = (sb, self._perm, x, y)
+            self.forward_passes += len(todo)
+            losses = self.model.minibatch_losses(x, y, size).tolist()
+            if todo is indices:
+                return losses
+            fresh = iter(losses)  # in index order, like todo
+        return [known[i] if i in known else next(fresh) for i in indices]
 
     def perturbed_loss(self, direction: np.ndarray, step_size: float, sb: Superbatch) -> float:
         """Superbatch loss at params - step_size*direction; params restored bit-exactly.
@@ -162,11 +174,10 @@ class TrainingEngine:
             if ds.task == TASK_NONE:
                 return self.model.loss(ds.train_x, ds.train_y), None
             return None, None
-        loss = self.model.loss(ds.test_x, ds.test_y)
         if ds.task == TASK_CLASSIFICATION:
-            acc = float(np.mean(self.model.predict(ds.test_x) == ds.test_y))
-            return loss, acc
-        return loss, None
+            loss, predicted = self.model.loss_and_predict(ds.test_x, ds.test_y)
+            return loss, float(np.mean(predicted == ds.test_y))
+        return self.model.loss(ds.test_x, ds.test_y), None
 
     # -- determinism support ----------------------------------------------------
 

@@ -57,6 +57,9 @@ class Model:
     def predict(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def loss_and_predict(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+        return self.loss(x, y), self.predict(x)
+
 
 class LinearRegression(Model):
     """y_hat = x @ w + b with loss mean(0.5 * (y_hat - y)^2)."""
@@ -188,15 +191,22 @@ class Mlp(Model):
     def logits(self, x):
         return self._forward(x)[0]
 
-    def predict(self, x):
-        out = self.logits(x)
+    def _predictions(self, out):
         if self.task == TASK_CLASSIFICATION:
             return out.argmax(axis=1)
         return out[:, 0] if out.ndim == 2 and out.shape[1] == 1 else out
 
+    def predict(self, x):
+        return self._predictions(self.logits(x))
+
     def loss(self, x, y):
         rows, _ = self._row_losses(self.logits(x), y)
         return float(rows.sum() / len(rows))
+
+    def loss_and_predict(self, x, y):
+        """Loss and predictions from one forward pass."""
+        out = self.logits(x)
+        return float(self._row_losses(out, y)[0].sum() / len(out)), self._predictions(out)
 
     def minibatch_losses(self, x, y, size):
         """One forward per block of whole minibatches (see BLOCK_ELEMENTS)."""

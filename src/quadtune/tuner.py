@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .engine import Superbatch, TrainingEngine
+from .engine import Superbatch, TrainingEngine, mean_loss
 from .errors import InvalidArgumentError
 from .optim import Optimizer, Snapshot, restore_snapshot, take_snapshot
 from .quadprobe import (
@@ -266,7 +266,7 @@ def probe_round(
 @dataclass
 class _Window:
     superbatch: Superbatch
-    start_loss: float
+    start_losses: dict[int, float]  # by minibatch index, at the opening params and epoch permutation
     start_step: int
 
 
@@ -287,15 +287,19 @@ class LearningRateTuner:
 
     # -- window bookkeeping ----------------------------------------------------
 
-    def _open_window(self, step: int) -> float:
+    def _open_window(self, step: int, known: Optional[dict[int, float]]) -> float:
+        """The start loss of a new window; `known` holds losses already measured at these params."""
         sb = self.engine.draw_superbatch(self.cfg.superbatch_size)
-        start_loss = self.engine.superbatch_loss(sb)
-        self._window = _Window(superbatch=sb, start_loss=start_loss, start_step=step)
-        return start_loss
+        losses = self.engine.superbatch_losses(sb, known)
+        self._window = _Window(sb, dict(zip(sb.minibatch_indices, losses)), step)
+        return mean_loss(losses)
 
-    def _close_window(self, step: int) -> float:
-        end_loss = self.engine.superbatch_loss(self._window.superbatch)
-        return drop_rate(self._window.start_loss, end_loss, step - self._window.start_step)
+    def _close_window(self, step: int) -> tuple[float, dict[int, float]]:
+        """The closed window's drop rate, and its end losses by minibatch index."""
+        window = self._window
+        losses = self.engine.superbatch_losses(window.superbatch)
+        rate = drop_rate(mean_loss(window.start_losses.values()), mean_loss(losses), step - window.start_step)
+        return rate, dict(zip(window.superbatch.minibatch_indices, losses))
 
     # -- rollback ----------------------------------------------------------------
 
@@ -366,15 +370,18 @@ class LearningRateTuner:
         cfg, st = self.cfg, self.state
         events: list[str] = []
         closing = step % cfg.recompute_window == 0 and self._window is not None
-        rate = saturated = probe = None
+        rate = saturated = probe = known = None
         rolled_back = False
 
+        passes = self.engine.forward_passes
         if closing:
-            rate = self._close_window(step)
+            rate, known = self._close_window(step)
             if st.last_change_snapshot is not None:
                 if self.maybe_rollback(rate):
                     events.append(EVENT_ROLLBACK)
                     rolled_back = True
+                    # The restored params, permutation and superbatch stream are this window's opening ones.
+                    known = self._window.start_losses
                 else:
                     # The change survived its one-shot review.
                     st.last_change_snapshot = None
@@ -403,10 +410,11 @@ class LearningRateTuner:
 
         window_loss = None
         if closing or self._window is None:
-            window_loss = self._open_window(step)
+            window_loss = self._open_window(step, known)
 
         self.engine.commit(self.optimizer, pending, st.current_lr)
-        window_passes = cfg.superbatch_size * ((rate is not None) + (window_loss is not None))
+        # The step's forward passes, less its training forward and its probe round's.
+        window_passes = self.engine.forward_passes - passes - 1 - (probe.forward_passes if probe else 0)
         outcome = StepOutcome(step, events, st.current_lr, train_loss, window_loss, rate, saturated, probe, window_passes)
         if events or window_loss is not None:
             st.log.append(outcome)

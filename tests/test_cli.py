@@ -285,6 +285,8 @@ MALFORMED = [
     pytest.param(None, {"lr_policy": {"kind": "tuner", "explore_fraction": 0.3}}, id="missing-seed_lr"),
     pytest.param(None, {"lr_policy": {"kind": "schedule", "variant": "constant"}}, id="missing-constant-lr"),
     pytest.param(None, {"dataset": {"kind": "idx", "labels": "labels.idx"}}, id="idx-without-images"),
+    pytest.param(None, {"dataset": {"kind": "idx", "images": "images.idx", "labels": "labels.idx",
+                                    "test_labels": "test_labels.idx"}}, id="idx-test_labels-alone"),
     pytest.param("dataset", {"n": "abc"}, id="n-string"),
     pytest.param("model", {"hidden": "16"}, id="hidden-string"),
     pytest.param("model", {"hidden": [1.5]}, id="hidden-float-element"),

@@ -1,9 +1,11 @@
+import json
 import os
 import struct
 
 import numpy as np
 import pytest
 
+from quadtune.cli import main
 from quadtune.datasets import (
     load_idx,
     make_blobs,
@@ -123,6 +125,50 @@ def test_idx_count_mismatch(tmp_path):
     images_path, labels_path, _ = _write_idx_pair(str(tmp_path), label_count=3)
     with pytest.raises(QuadtuneError, match="image count 4 != label count 3"):
         load_idx(images_path, labels_path)
+
+
+def _idx_spec(tmp_path, train_count=4, test_count=12, test_rows=28):
+    train, test = tmp_path / "train", tmp_path / "test"
+    train.mkdir()
+    test.mkdir()
+    images, labels, _ = _write_idx_pair(str(train), count=train_count)
+    test_images, test_labels, test_pixels = _write_idx_pair(str(test), count=test_count, rows=test_rows)
+    spec = {"kind": "idx", "images": images, "labels": labels, "test_images": test_images, "test_labels": test_labels}
+    return spec, test_pixels
+
+
+def test_idx_test_pair_fills_the_test_split(tmp_path):
+    spec, test_pixels = _idx_spec(tmp_path)
+    ds = make_dataset(spec)
+    assert ds.train_y.tolist() == [0, 1, 2, 3]
+    assert ds.test_x.shape == (12, 784)
+    assert ds.test_x.tobytes() == (test_pixels.astype(np.float64) / 255.0).tobytes()
+    assert ds.test_y.tolist() == [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 1]
+    assert ds.num_classes == 10  # the train labels alone reach only 3
+
+
+def test_idx_run_reports_test_metrics(tmp_path):
+    spec, _ = _idx_spec(tmp_path, train_count=32, test_count=10)
+    raw = {"dataset": spec, "model": {"kind": "logreg"}, "optimizer": {"kind": "sgd", "minibatch_size": 8},
+           "lr_policy": {"kind": "schedule", "variant": "constant", "lr": 0.1}, "epochs": 1, "seeds": [1], "out_dir": str(tmp_path / "out")}
+    (tmp_path / "cfg.json").write_text(json.dumps(raw))
+    assert main(["train", "--config", str(tmp_path / "cfg.json"), "--quiet"]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())["per_seed"][0]
+    assert summary["final_test_loss"] is not None and summary["final_test_acc"] is not None
+
+
+@pytest.mark.parametrize("missing", ["test_images", "test_labels"])
+def test_idx_test_file_alone_is_rejected(tmp_path, missing):
+    spec, _ = _idx_spec(tmp_path)
+    del spec[missing]
+    with pytest.raises(InvalidArgumentError, match="test_images and test_labels together"):
+        make_dataset(spec)
+
+
+def test_idx_test_images_must_match_the_train_size(tmp_path):
+    spec, _ = _idx_spec(tmp_path, test_rows=27)
+    with pytest.raises(QuadtuneError, match=r"image size \(27, 28\) != train image size \(28, 28\)"):
+        make_dataset(spec)
 
 
 @pytest.mark.skipif("MNIST_DIR" not in os.environ, reason="set MNIST_DIR to run against real MNIST files")

@@ -58,6 +58,8 @@ def test_superbatch_index_out_of_range_is_rejected():
     engine.superbatch_loss(Superbatch([engine.batches_per_epoch - 1]))
     for indices in ([engine.batches_per_epoch], [999], [0, 999], [-1, 3]):
         with pytest.raises(InvalidArgumentError):
+            engine.superbatch_losses(Superbatch(indices), known={i: 0.0 for i in indices})
+        with pytest.raises(InvalidArgumentError):
             engine.superbatch_loss(Superbatch(indices))
 
 
@@ -135,7 +137,7 @@ def test_superbatch_loss_never_serves_stale_rows():
     # superbatch loss must equal the mean of forward losses on freshly gathered minibatches.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    ops = st.sampled_from(["step", "draw", "loss", "fresh", "perturbed", "save", "restore", "commit"])
+    ops = st.sampled_from(["step", "draw", "loss", "fresh", "known", "perturbed", "save", "restore", "commit"])
 
     @hypothesis.settings(max_examples=60, deadline=None)
     @hypothesis.given(seed=st.integers(0, 2**32), program=st.lists(st.tuples(ops, st.integers(0, 2**16)), max_size=40))
@@ -162,6 +164,16 @@ def test_superbatch_loss_never_serves_stale_rows():
                 assert engine.superbatch_loss(sb) == reference(sb)
             elif op == "fresh":
                 assert engine.superbatch_loss(Superbatch(sb.minibatch_indices)) == reference(sb)
+            elif op == "known":
+                # The bits of k pick the known minibatches; their marked values must come back
+                # as given, and only the others may be evaluated.
+                known = {i: -1.0 - i for n, i in enumerate(sb.minibatch_indices) if k >> n & 1}
+                passes = engine.forward_passes
+                losses = engine.superbatch_losses(sb, known)
+                assert engine.forward_passes - passes == sb.size_in_minibatches - len(known)
+                assert losses == [known[i] if i in known else engine.forward_loss(*engine.minibatch(i))
+                                  for i in sb.minibatch_indices]
+                assert engine.superbatch_loss(sb) == reference(sb)  # not served from a partial gather
             elif op == "perturbed":
                 direction = np.array([1.0, -2.0, 0.5])
                 loss = engine.perturbed_loss(direction, k / 2**16, sb)

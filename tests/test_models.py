@@ -162,6 +162,28 @@ def test_bowl_minibatch_losses_equal_a_loop_of_loss():
     assert bowl.minibatch_losses(x, y, 4).tolist() == _groups_loop(bowl, x, y, 4) == [20.125] * 3
 
 
+@pytest.mark.parametrize(
+    "model",
+    [Mlp([3, 8, 4, 3], rng=np.random.default_rng(1)), Mlp([3, 6, 1], task="regression", rng=np.random.default_rng(2)),
+     LogisticRegression(3, 4), LinearRegression(3)],
+    ids=["mlp", "mlp_regression", "logreg", "linreg"],
+)
+def test_loss_and_predict_equal_loss_then_predict(model):
+    rng = np.random.default_rng(4)
+    model.params[:] += rng.normal(scale=0.1, size=model.params.size)
+    x = rng.normal(size=(40, 3))
+    y = rng.integers(0, 3, size=40) if model.task == "classification" else rng.normal(size=40)
+    loss, predicted = model.loss_and_predict(x, y)
+    assert loss == model.loss(x, y)
+    assert predicted.tobytes() == model.predict(x).tobytes()
+    if isinstance(model, Mlp):  # one forward for both
+        rows = []
+        forward = model._forward
+        model._forward = lambda x, keep_inputs=False: rows.append(len(x)) or forward(x, keep_inputs)
+        model.loss_and_predict(x, y)
+        assert rows == [40]
+
+
 def test_mlp_fused_loss_equals_lean_forward_loss():
     rng = np.random.default_rng(9)
     for model, y in (

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from quadtune import runner
+from quadtune.cli import write_trace
 from quadtune.config import RunConfig
+from quadtune.engine import TrainingEngine
 from quadtune.errors import InvalidArgumentError
 from quadtune.models import Mlp, Model
 from quadtune.runner import TrainingRun, aggregate_summaries, run_all_seeds, schedule_from_policy, tuner_config_from_policy
 from quadtune.schedules import CosineDecay, StepSchedule, lr_at
+from quadtune.tuner import EVENT_ROLLBACK
 
 
 def schedule_cfg(**overrides):
@@ -237,6 +241,57 @@ def test_engine_forward_passes_count_the_rows_the_model_runs():
     counters = run.tuner.state.counters
     assert counters.probe_forward_passes > 0 and counters.window_forward_passes > 0
     assert model.rows == run.engine.forward_passes * run.engine.minibatch_size
+
+
+def test_test_metrics_run_one_forward_with_the_results_of_loss_then_predict():
+    run = TrainingRun(tuner_cfg(), 1)
+    model = RowCountingMlp(run.model.layer_sizes)
+    model.params[:] = run.model.params
+    run.engine.model = model
+    ds = run.dataset
+    assert run.engine.test_metrics() == (model.loss(ds.test_x, ds.test_y), float(np.mean(model.predict(ds.test_x) == ds.test_y)))
+    model.rows = 0
+    run.engine.test_metrics()
+    assert model.rows == len(ds.test_x)
+
+
+class NoReuseEngine(TrainingEngine):
+    """Evaluates every minibatch of a superbatch, ignoring the losses it is given."""
+
+    reused = 0
+
+    def superbatch_losses(self, sb, known=None):
+        self.reused += sum(i in (known or ()) for i in sb.minibatch_indices)
+        return super().superbatch_losses(sb)
+
+
+@pytest.mark.parametrize("policy", [
+    # Rolls back twice per seed; 15 minibatches per epoch.
+    {"seed_lr": 0.1, "explore_fraction": 0.5, "recompute_window": 5, "superbatch_size": 4},
+    # Windows of 7 steps cross epoch starts; S=8 of 15 minibatches share many.
+    {"seed_lr": 0.3, "explore_fraction": 0.3, "recompute_window": 7, "superbatch_size": 8, "rollback": False},
+], ids=["rollback", "wide_superbatch"])
+def test_reused_window_losses_write_the_traces_of_fresh_ones(monkeypatch, tmp_path, policy):
+    cfg = tuner_cfg(lr_policy=dict(policy, kind="tuner", n_probes=5), epochs=3)
+    size = cfg.lr_policy["superbatch_size"]
+    rollbacks = []
+    for seed in cfg.seeds:
+        runs, traces = [], []
+        for engine_class in (TrainingEngine, NoReuseEngine):
+            monkeypatch.setattr(runner, "TrainingEngine", engine_class)
+            runs.append(TrainingRun(cfg, seed))
+            path = tmp_path / f"{engine_class.__name__}_{seed}.csv"
+            write_trace(str(path), runs[-1].run())
+            traces.append(path.read_bytes())
+        reuse, fresh = runs
+        assert traces[0] == traces[1]
+        assert fresh.engine.reused > 0
+        assert fresh.engine.forward_passes == reuse.engine.forward_passes + fresh.engine.reused
+        assert fresh.tuner.state.counters.window_forward_passes == (
+            reuse.tuner.state.counters.window_forward_passes + fresh.engine.reused)
+        rollbacks += [out for out in reuse.tuner.state.log if EVENT_ROLLBACK in out.events]
+    assert bool(rollbacks) == cfg.lr_policy.get("rollback", True)
+    assert all(out.window_forward_passes == size for out in rollbacks)  # the reopened window runs no forward
 
 
 def test_explore_epochs_conversion():

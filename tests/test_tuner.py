@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from quadtune.datasets import make_bowl_dataset, make_moons
-from quadtune.engine import TrainingEngine
+from quadtune.engine import TrainingEngine, mean_loss
 from quadtune.errors import InvalidArgumentError
 from quadtune.models import Mlp, QuadraticBowl
 from quadtune.optim import Momentum, Sgd
@@ -202,14 +202,22 @@ class TestRecompute:
         assert tuner.state.current_lr == 0.15
         assert tuner.state.counters.rejects_phase == 1
 
-    def test_probe_cost_accounting(self):
+    def test_probe_cost_accounting(self, monkeypatch):
         tuner, engine, _ = bowl_tuner(window=5, sb=2, explore=0.9, rollback_enabled=False)
+        drawn = []
+        draw = engine.draw_superbatch
+        monkeypatch.setattr(engine, "draw_superbatch", lambda size: drawn.append(draw(size)) or drawn[-1])
         drive(tuner, engine, 26)
         c = tuner.state.counters
         assert c.recomputes == 5
         assert c.probe_forward_passes == c.recomputes * 2 * 5
-        # window evaluations are counted separately: open at 0,5,...,25 plus closes
-        assert c.window_forward_passes == (6 + 5) * 2
+        # Windows open at 0, 5, ..., 25 and close at 5, ..., 25. A close evaluates its
+        # S minibatches; an open evaluates those it does not share with the close.
+        probed = [out.probe.superbatch for out in tuner.state.log if out.probe is not None]
+        windows = [set(sb.minibatch_indices) for sb in drawn if all(sb is not p for p in probed)]
+        assert len(windows) == 6
+        opens = len(windows[0]) + sum(len(new - old) for old, new in zip(windows, windows[1:]))
+        assert c.window_forward_passes == 5 * 2 + opens
 
     def test_same_superbatch_for_all_probes(self, monkeypatch):
         tuner, engine, _ = bowl_tuner(window=5, sb=3, explore=0.9)
@@ -462,5 +470,57 @@ def test_phase_and_saturation_machine_on_a_bowl():
         assert switches == ([explore_steps] if explore_steps > 0 else [])
         # Only the steps that measured a window or switched phase are logged.
         assert [out.step for out in tuner.state.log] == sorted({*range(0, total, window), *switches})
+
+    check()
+
+
+def test_reused_window_losses_equal_fresh_ones():
+    # A window opened at a boundary takes the losses it shares with the close, and one
+    # reopened after a rollback takes the rolled-back window's start losses. Each start and
+    # end loss must equal, bit for bit, a fresh evaluation at that moment's params and
+    # permutation. 20 minibatches per epoch, so most windows cross an epoch start.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ds = make_moons(n=200, noise=0.2, seed=1)
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(seed=st.integers(0, 2**32), seed_lr=st.floats(0.01, 1.0), window=st.integers(2, 7),
+                      sb=st.integers(1, 6), total=st.integers(30, 90), r=st.sampled_from([1e-3, 0.1, 10.0]))
+    def check(seed, seed_lr, window, sb, total, r):
+        engine = TrainingEngine(Mlp([2, 8, 2], rng=np.random.default_rng(seed)), ds, 8, seed)
+        cfg = TunerConfig(seed_lr=seed_lr, total_steps=total, explore_budget=0.5, recompute_window=window,
+                          superbatch_size=sb, n_probes=3, epsilon_threshold_r=r)
+        tuner = LearningRateTuner(cfg, engine, Momentum(0.9))
+        open_window, close_window = tuner._open_window, tuner._close_window
+        window_passes = 0
+
+        def fresh(superbatch):
+            """Minibatch losses of a fresh gather at the current params and permutation, counted nowhere."""
+            x, y = (np.concatenate(part) for part in zip(*map(engine.minibatch, superbatch.minibatch_indices)))
+            return engine.model.minibatch_losses(x, y, engine.minibatch_size).tolist()
+
+        def counted(fn, *args):
+            nonlocal window_passes
+            passes = engine.forward_passes
+            out = fn(*args)
+            window_passes += engine.forward_passes - passes
+            return out
+
+        def spy_open(step, known):
+            start_loss = counted(open_window, step, known)
+            losses = fresh(tuner._window.superbatch)
+            assert list(tuner._window.start_losses.values()) == losses
+            assert start_loss == mean_loss(losses)
+            return start_loss
+
+        def spy_close(step):
+            rate, end_losses = counted(close_window, step)
+            assert list(end_losses.values()) == fresh(tuner._window.superbatch)
+            return rate, end_losses
+
+        tuner._open_window, tuner._close_window = spy_open, spy_close
+        with np.errstate(over="ignore", invalid="ignore"):
+            drive(tuner, engine, total)
+        assert tuner.state.counters.window_forward_passes == window_passes
 
     check()
