@@ -68,10 +68,11 @@ def _load_config(args) -> RunConfig:
 
 
 def _run_and_write(cfg: RunConfig) -> dict:
-    """Run every seed, write one trace per seed plus summary.json; return the summary."""
-    traces, summary = run_all_seeds(cfg)
-    for seed, records in traces.items():
+    """Run every seed, writing its trace when it ends, then summary.json; return the summary."""
+    def write(seed: int, records: list[RunRecord]) -> None:
         write_trace(os.path.join(cfg.out_dir, f"trace_seed{seed}.csv"), records)
+
+    _, summary = run_all_seeds(cfg, write)
     _write_json(os.path.join(cfg.out_dir, "summary.json"), summary)
     return summary
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .tuner import LearningRateTuner, TunerConfig
 if TYPE_CHECKING:
     from .config import RunConfig
 
-@dataclass
+@dataclass(slots=True)
 class RunRecord:
     """One per-step log row of a training trace."""
 
@@ -273,13 +273,20 @@ def aggregate_summaries(per_seed: list[dict[str, Any]]) -> dict[str, Any]:
     return aggregate
 
 
-def run_all_seeds(cfg: RunConfig) -> tuple[dict[int, list[RunRecord]], dict[str, Any]]:
-    """Run every configured seed; returns traces plus the cross-seed summary."""
+def run_all_seeds(
+    cfg: RunConfig, on_trace: Optional[Callable[[int, list[RunRecord]], None]] = None
+) -> tuple[dict[int, list[RunRecord]], dict[str, Any]]:
+    """Run every configured seed; returns traces plus the cross-seed summary.
+
+    With `on_trace`, each seed's records go to `on_trace(seed, records)` when
+    that seed ends and are not kept, so the returned traces are empty.
+    """
     traces: dict[int, list[RunRecord]] = {}
     per_seed: list[dict[str, Any]] = []
+    keep = on_trace or traces.__setitem__
     for seed in cfg.seeds:
         run = TrainingRun(cfg, seed)
-        traces[seed] = run.run()
+        keep(seed, run.run())
         per_seed.append(run.summary())
     summary = {
         "config": cfg.to_dict(),

@@ -12,8 +12,8 @@ import pytest
 from quadtune.cli import main, write_trace
 from quadtune.config import RunConfig
 from quadtune.datasets import DATASETS
-from quadtune.errors import InvalidArgumentError
-from quadtune.runner import CSV_COLUMNS, LR_POLICIES, MODELS, OPTIMIZERS, RunRecord
+from quadtune.errors import InvalidArgumentError, QuadtuneError
+from quadtune.runner import CSV_COLUMNS, LR_POLICIES, MODELS, OPTIMIZERS, RunRecord, TrainingRun
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -180,6 +180,28 @@ class TestTrainCommand:
         bytes_a = open(os.path.join(out_a, "trace_seed1.csv"), "rb").read()
         bytes_b = open(os.path.join(out_b, "trace_seed1.csv"), "rb").read()
         assert bytes_a == bytes_b
+
+    def test_each_trace_is_written_when_its_seed_ends(self, tmp_path, monkeypatch, capsys):
+        raw = schedule_raw(tmp_path, seeds=[1, 2, 3])
+        path = write_config(tmp_path, raw)
+        assert main(["train", "--config", path, "--out", os.path.join(str(tmp_path), "full"), "--quiet"]) == 0
+        out = Path(raw["out_dir"])
+        run = TrainingRun.run
+        written = []
+
+        def run_or_fail(self):
+            written.append(sorted(p.name for p in out.glob("*")) if out.exists() else [])
+            if self.seed == 3:
+                raise QuadtuneError("seed 3 fails")
+            return run(self)
+
+        monkeypatch.setattr(TrainingRun, "run", run_or_fail)
+        assert main(["train", "--config", path, "--quiet"]) == 2
+        assert capsys.readouterr().err == "error: seed 3 fails\n"
+        assert written == [[], ["trace_seed1.csv"], ["trace_seed1.csv", "trace_seed2.csv"]]
+        assert sorted(p.name for p in out.glob("*")) == ["trace_seed1.csv", "trace_seed2.csv"]  # no summary.json
+        for name in ("trace_seed1.csv", "trace_seed2.csv"):
+            assert (out / name).read_bytes() == Path(tmp_path, "full", name).read_bytes()
 
     def test_seed_override(self, tmp_path):
         path = write_config(tmp_path, schedule_raw(tmp_path))

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,9 +123,9 @@ def _groups_loop(model, x, y, size):
     [
         (lambda rng: Mlp([3, 16, 8, 3], rng=rng), 32, 10),
         (lambda rng: Mlp([3, 12, 1], task="regression", rng=rng), 16, 7),
-        # 65536 // (1024 * 32) = 2 minibatches per block: 7 groups span 4 blocks.
+        # 65536 // 1024 = 64 rows per block: 7 groups span 4 blocks.
         (lambda rng: Mlp([3, 1024, 2], rng=rng), 32, 7),
-        # One 96-row minibatch exceeds a block, so each block holds one.
+        # A 96-row minibatch is wider than a block, so groups straddle blocks.
         (lambda rng: Mlp([3, 1024, 3], rng=rng), 96, 3),
         (lambda rng: LogisticRegression(3, 4), 8, 5),
         (lambda rng: LinearRegression(3), 16, 9),
@@ -144,16 +145,75 @@ def test_minibatch_losses_equal_a_loop_of_loss(make, size, groups):
     assert losses.tolist() == _groups_loop(model, x, y, size)
 
 
-def test_stacked_forward_runs_in_blocks_of_whole_minibatches():
-    model = Mlp([3, 1024, 2])
-    rows = []
+def _spy_forward(model):
+    """Record the rows and the output of each `_forward` call of `model`."""
+    calls = []
     forward = model._forward
-    model._forward = lambda x, keep_inputs=False: rows.append(len(x)) or forward(x, keep_inputs)
-    model.minibatch_losses(np.zeros((7 * 32, 3)), np.zeros(7 * 32, dtype=int), 32)
-    assert rows == [64, 64, 64, 32]  # 65536 // 1024 = 64 rows per block
-    rows.clear()
-    model.minibatch_losses(np.zeros((3 * 96, 3)), np.zeros(3 * 96, dtype=int), 96)
-    assert rows == [96, 96, 96]  # a minibatch wider than a block is one block
+
+    def spy(x, keep_inputs=False):
+        out = forward(x, keep_inputs)
+        calls.append((len(x), out[0]))
+        return out
+
+    model._forward = spy
+    return calls
+
+
+def test_every_evaluation_runs_in_blocks_of_rows():
+    model = Mlp([3, 1024, 2])  # 65536 // 1024 = 64 rows per block
+    calls = _spy_forward(model)
+    for n, blocks in ((7 * 32, [64, 64, 64, 32]), (3 * 96, [64, 64, 64, 64, 32]), (200, [64, 64, 64, 8])):
+        x, y = np.zeros((n, 3)), np.zeros(n, dtype=int)
+        evaluations = [lambda: model.loss(x, y), lambda: model.predict(x), lambda: model.loss_and_predict(x, y)]
+        evaluations += [lambda size=size: model.minibatch_losses(x, y, size) for size in (32, 96) if n % size == 0]
+        for evaluate in evaluations:
+            calls.clear()
+            evaluate()
+            assert [rows for rows, _ in calls] == blocks
+
+
+def test_a_batch_that_fits_one_block_is_one_forward_without_a_copy():
+    model = Mlp([3, 1024, 2])
+    calls = _spy_forward(model)
+    out = model.logits(np.zeros((64, 3)))
+    assert len(calls) == 1 and calls[0][1] is out
+    wide = Mlp([2, 2**17, 2])  # wider than BLOCK_ELEMENTS: one row per block
+    calls = _spy_forward(wide)
+    wide.loss_and_predict(np.zeros((3, 2)), np.zeros(3, dtype=int))
+    assert [rows for rows, _ in calls] == [1, 1, 1]
+
+
+def test_blocked_test_set_evaluation_stays_within_a_few_blocks_of_memory():
+    rng = np.random.default_rng(3)
+    model = Mlp([4, 256, 256, 2], rng=rng)
+    x, y = rng.normal(size=(8192, 4)), rng.integers(0, 2, size=8192)
+    tracemalloc.start()
+    try:
+        model.loss_and_predict(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One unblocked forward holds 8192 x 256 float64 (16 MiB) per hidden layer.
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize(
+    "sizes, n",
+    [([2, 64, 32, 2], 400), ([2, 64, 32, 2], 10 * 32), ([2, 256, 256, 2], 800), ([2, 256, 256, 2], 50 * 32)],
+    ids=["moons_test_set", "moons_superbatch", "wide_probe_test_set", "wide_probe_superbatch"],
+)
+def test_blocked_evaluation_equals_one_unblocked_forward(sizes, n):
+    rng = np.random.default_rng(n)
+    model = Mlp(sizes, rng=rng)
+    model.params[:] += rng.normal(scale=0.1, size=model.params.size)
+    x, y = rng.normal(size=(n, 2)), rng.integers(0, 2, size=n)
+    out = model._forward(x)[0]
+    rows, _ = model._row_losses(out, y)
+    loss, predicted = model.loss_and_predict(x, y)
+    assert loss == float(rows.sum() / n)
+    assert predicted.tobytes() == model._predictions(out).tobytes()
+    if n % 32 == 0:
+        assert model.minibatch_losses(x, y, 32).tobytes() == (rows.reshape(-1, 32).sum(axis=1) / 32).tobytes()
 
 
 def test_bowl_minibatch_losses_equal_a_loop_of_loss():

@@ -128,6 +128,14 @@ def test_summary_aggregation_over_seeds():
     assert agg["stddev"] == pytest.approx(np.sqrt(np.mean((np.array(values) - np.mean(values)) ** 2)))
 
 
+def test_on_trace_takes_each_seed_s_records_in_place_of_the_traces():
+    cfg = tuner_cfg()
+    kept, kept_summary = run_all_seeds(cfg)
+    passed = []
+    traces, summary = run_all_seeds(cfg, lambda seed, records: passed.append((seed, records)))
+    assert traces == {} and passed == list(kept.items()) and summary == kept_summary
+
+
 def test_determinism_same_seed_same_records():
     cfg = tuner_cfg()
     a = TrainingRun(cfg, 1).run()
