@@ -7,6 +7,15 @@ filtering, saturation-gated decreases, superbatch noise control, and
 rollback of changes that hurt the loss-drop rate.
 """
 
+import os
+
+# `Mlp.logits` runs the row blocks of a batch on one thread per CPU; a BLAS
+# that started threads of its own would compete with them for the same cores.
+# Set before numpy loads, and only where the user has not set a value.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .config import RunConfig
 from .datasets import Dataset, load_idx, make_blobs, make_bowl_dataset, make_dataset, make_linear_regression, make_moons
 from .engine import Superbatch, TrainingEngine

@@ -43,10 +43,6 @@ class Superbatch:
             raise InvalidArgumentError("superbatch indices must be distinct")
         object.__setattr__(self, "minibatch_indices", indices)
 
-    @property
-    def size_in_minibatches(self) -> int:
-        return len(self.minibatch_indices)
-
 
 class TrainingEngine:
     """Single-run training substrate with per-run cost counters."""
@@ -92,12 +88,6 @@ class TrainingEngine:
         return self.dataset.train_x[rows], self.dataset.train_y[rows]
 
     # -- losses and gradients -------------------------------------------------
-
-    def forward_loss(self, x: np.ndarray, y: np.ndarray) -> float:
-        if x.shape[0] == 0:
-            raise InvalidArgumentError("empty batch")
-        self.forward_passes += 1
-        return self.model.loss(x, y)
 
     def loss_and_gradient(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
         self.forward_passes += 1

@@ -156,12 +156,15 @@ def schedule_from_policy(policy: dict[str, Any], batches_per_epoch: int) -> Sche
 
 
 class TrainingRun:
-    """One seeded training run: builds all components and steps to completion."""
+    """One seeded training run: builds all components and steps to completion.
 
-    def __init__(self, cfg: RunConfig, seed: int):
+    `dataset` is `make_dataset(cfg.dataset)`, built here when not given.
+    """
+
+    def __init__(self, cfg: RunConfig, seed: int, dataset: Optional[Dataset] = None):
         self.cfg = cfg
         self.seed = int(seed)
-        self.dataset = make_dataset(cfg.dataset)
+        self.dataset = make_dataset(cfg.dataset) if dataset is None else dataset
         factory, args = kind_args("model", cfg.model, MODELS)
         self.model = factory(self.dataset, seeded_stream(self.seed, "init"), **args)
         factory, args = optimizer_args(cfg.optimizer)
@@ -276,7 +279,7 @@ def aggregate_summaries(per_seed: list[dict[str, Any]]) -> dict[str, Any]:
 def run_all_seeds(
     cfg: RunConfig, on_trace: Optional[Callable[[int, list[RunRecord]], None]] = None
 ) -> tuple[dict[int, list[RunRecord]], dict[str, Any]]:
-    """Run every configured seed; returns traces plus the cross-seed summary.
+    """Run every configured seed on one dataset; returns traces plus the cross-seed summary.
 
     With `on_trace`, each seed's records go to `on_trace(seed, records)` when
     that seed ends and are not kept, so the returned traces are empty.
@@ -284,8 +287,9 @@ def run_all_seeds(
     traces: dict[int, list[RunRecord]] = {}
     per_seed: list[dict[str, Any]] = []
     keep = on_trace or traces.__setitem__
+    dataset = make_dataset(cfg.dataset)
     for seed in cfg.seeds:
-        run = TrainingRun(cfg, seed)
+        run = TrainingRun(cfg, seed, dataset)
         keep(seed, run.run())
         per_seed.append(run.summary())
     summary = {

@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from quadtune.datasets import make_blobs, make_bowl_dataset, make_linear_regression, seeded_stream
+from quadtune.datasets import make_blobs, make_bowl_dataset, make_linear_regression, make_moons, seeded_stream
 from quadtune.engine import Superbatch, TrainingEngine
 from quadtune.errors import InvalidArgumentError
-from quadtune.models import LinearRegression, LogisticRegression, QuadraticBowl
+from quadtune.models import LinearRegression, LogisticRegression, Mlp, QuadraticBowl
 from quadtune.optim import Momentum, Sgd, restore_snapshot, take_snapshot
 
 
@@ -31,17 +33,16 @@ def test_rng_streams_independent_and_replayable():
 def test_superbatch_normalizes_and_validates():
     sb = Superbatch([3, 1, 2])
     assert sb.minibatch_indices == (1, 2, 3)
-    assert sb.size_in_minibatches == 3
     with pytest.raises(InvalidArgumentError):
         Superbatch([])
     with pytest.raises(InvalidArgumentError):
         Superbatch([1, 1, 2])
 
 
-def test_superbatch_of_one_equals_forward_loss():
+def test_superbatch_of_one_equals_the_model_loss():
     engine = make_engine()
     x, y = engine.minibatch(0)
-    assert engine.superbatch_loss(Superbatch([0])) == engine.forward_loss(x, y)
+    assert engine.superbatch_loss(Superbatch([0])) == engine.model.loss(x, y)
 
 
 def test_superbatch_is_mean_of_minibatch_losses():
@@ -49,7 +50,7 @@ def test_superbatch_is_mean_of_minibatch_losses():
     indices = [7, 0, 3, 15, 9, 1, 12, 4, 10, 6, 13, 2]
     total = 0.0
     for i in sorted(indices):
-        total += engine.forward_loss(*engine.minibatch(i))
+        total += engine.model.loss(*engine.minibatch(i))
     assert engine.superbatch_loss(Superbatch(indices)) == total / len(indices)
 
 
@@ -132,6 +133,20 @@ def test_perturbed_loss_nonfinite_marker():
     assert np.all(np.isfinite(engine.model.params))
 
 
+def test_a_diverging_probe_on_a_multi_block_superbatch_warns_nothing():
+    # 50 minibatches of 32 rows run as seven 256-row blocks, concurrently where there
+    # are CPUs for it; the probe's overflow in a block's matmul must stay silent there too.
+    model = Mlp([2, 256, 256, 2], rng=np.random.default_rng(5))
+    engine = TrainingEngine(model, make_moons(n=2000, seed=5), 32, seed=5)
+    sb = engine.draw_superbatch(50)
+    before = model.params.tobytes()
+    direction = np.full_like(model.params, -1.0)  # finite params of 1e200: the second layer overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(engine.perturbed_loss(direction, 1e200, sb))
+    assert model.params.tobytes() == before
+
+
 def test_superbatch_loss_never_serves_stale_rows():
     # Random interleavings of everything that moves the rows or the params: every
     # superbatch loss must equal the mean of forward losses on freshly gathered minibatches.
@@ -149,8 +164,8 @@ def test_superbatch_loss_never_serves_stale_rows():
         states = [engine.data_state()]
 
         def reference(sb):
-            total = sum(engine.forward_loss(*engine.minibatch(i)) for i in sb.minibatch_indices)
-            return total / sb.size_in_minibatches
+            total = sum(engine.model.loss(*engine.minibatch(i)) for i in sb.minibatch_indices)
+            return total / len(sb.minibatch_indices)
 
         for op, k in program:
             sb = drawn[k % len(drawn)]
@@ -170,8 +185,8 @@ def test_superbatch_loss_never_serves_stale_rows():
                 known = {i: -1.0 - i for n, i in enumerate(sb.minibatch_indices) if k >> n & 1}
                 passes = engine.forward_passes
                 losses = engine.superbatch_losses(sb, known)
-                assert engine.forward_passes - passes == sb.size_in_minibatches - len(known)
-                assert losses == [known[i] if i in known else engine.forward_loss(*engine.minibatch(i))
+                assert engine.forward_passes - passes == len(sb.minibatch_indices) - len(known)
+                assert losses == [known[i] if i in known else engine.model.loss(*engine.minibatch(i))
                                   for i in sb.minibatch_indices]
                 assert engine.superbatch_loss(sb) == reference(sb)  # not served from a partial gather
             elif op == "perturbed":
@@ -207,7 +222,7 @@ def test_cost_counters():
 def test_draw_superbatch_bounds():
     engine = make_engine(n=320, mb=32)  # 8 train batches
     sb = engine.draw_superbatch(8)
-    assert sb.size_in_minibatches == 8
+    assert len(sb.minibatch_indices) == 8
     with pytest.raises(InvalidArgumentError):
         engine.draw_superbatch(9)
     with pytest.raises(InvalidArgumentError):

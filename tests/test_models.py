@@ -1,11 +1,17 @@
 import copy
 import math
+import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import quadtune
 from quadtune.models import LinearRegression, LogisticRegression, Mlp, QuadraticBowl
 from quadtune.stats import fd_gradient
 
@@ -146,13 +152,13 @@ def test_minibatch_losses_equal_a_loop_of_loss(make, size, groups):
 
 
 def _spy_forward(model):
-    """Record the rows and the output of each `_forward` call of `model`."""
+    """Record the rows, the first input value, the output and the thread of each `_forward` call of `model`."""
     calls = []
     forward = model._forward
 
     def spy(x, keep_inputs=False):
         out = forward(x, keep_inputs)
-        calls.append((len(x), out[0]))
+        calls.append((len(x), x[0, 0], out[0], threading.get_ident()))
         return out
 
     model._forward = spy
@@ -164,23 +170,84 @@ def test_every_evaluation_runs_in_blocks_of_rows():
     calls = _spy_forward(model)
     for n, blocks in ((7 * 32, [64, 64, 64, 32]), (3 * 96, [64, 64, 64, 64, 32]), (200, [64, 64, 64, 8])):
         x, y = np.zeros((n, 3)), np.zeros(n, dtype=int)
+        x[:, 0] = np.arange(n)  # a block's first value is its start row
         evaluations = [lambda: model.loss(x, y), lambda: model.predict(x), lambda: model.loss_and_predict(x, y)]
         evaluations += [lambda size=size: model.minibatch_losses(x, y, size) for size in (32, 96) if n % size == 0]
         for evaluate in evaluations:
             calls.clear()
             evaluate()
-            assert [rows for rows, _ in calls] == blocks
+            # Blocks may run concurrently, so they are compared by start row, not by call order.
+            assert sorted((start, rows) for rows, start, _, _ in calls) == list(zip(range(0, n, 64), blocks))
 
 
 def test_a_batch_that_fits_one_block_is_one_forward_without_a_copy():
     model = Mlp([3, 1024, 2])
     calls = _spy_forward(model)
     out = model.logits(np.zeros((64, 3)))
-    assert len(calls) == 1 and calls[0][1] is out
+    assert len(calls) == 1 and calls[0][2] is out
     wide = Mlp([2, 2**17, 2])  # wider than BLOCK_ELEMENTS: one row per block
     calls = _spy_forward(wide)
     wide.loss_and_predict(np.zeros((3, 2)), np.zeros(3, dtype=int))
-    assert [rows for rows, _ in calls] == [1, 1, 1]
+    assert [rows for rows, _, _, _ in calls] == [1, 1, 1]
+
+
+def test_a_batch_that_fits_one_block_runs_on_the_calling_thread():
+    model = Mlp([3, 1024, 2])
+    calls = _spy_forward(model)
+    model.loss(np.zeros((64, 3)), np.zeros(64, dtype=int))
+    assert [thread for _, _, _, thread in calls] == [threading.get_ident()]
+
+
+@pytest.mark.skipif(quadtune.models._POOL is None, reason="one CPU: the blocks run in turn")
+def test_a_multi_block_evaluation_runs_its_blocks_on_several_threads():
+    model = Mlp([3, 1024, 2])
+    forward = model._forward
+    threads = []
+    both = threading.Barrier(2, timeout=10)
+
+    def spy(x, keep_inputs=False):
+        threads.append(threading.get_ident())
+        if len(threads) <= 2:
+            both.wait()  # the first two blocks pass only together, so on two threads at once
+        return forward(x, keep_inputs)
+
+    model._forward = spy
+    model.logits(np.zeros((4 * 64, 3)))
+    assert len(threads) == 4 and len(set(threads)) >= 2
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_forked_child_evaluates_blocks_after_its_parent_did():
+    model = Mlp([3, 1024, 2])
+    x = np.zeros((4 * 64, 3))
+    model.logits(x)  # the parent's pool has started its threads
+    child = multiprocessing.get_context("fork").Process(target=model.logits, args=(x,))
+    child.start()
+    child.join(30)
+    if child.exitcode is None:
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _python(code, **env):
+    """Stdout of `code` run by a fresh interpreter that finds this quadtune."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS} | env
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(quadtune.__file__))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_importing_quadtune_starts_no_thread():
+    assert _python("import threading, quadtune.cli; print(threading.active_count())") == "1\n"
+
+
+def test_importing_quadtune_first_gives_blas_one_thread_unless_the_user_set_one():
+    code = f"import os, quadtune; print(*(os.environ[v] for v in {BLAS_THREAD_VARS}))"
+    assert _python(code) == "1 1 1\n"
+    assert _python(code, OMP_NUM_THREADS="2") == "1 2 1\n"
 
 
 def test_blocked_test_set_evaluation_stays_within_a_few_blocks_of_memory():

@@ -136,6 +136,18 @@ def test_on_trace_takes_each_seed_s_records_in_place_of_the_traces():
     assert traces == {} and passed == list(kept.items()) and summary == kept_summary
 
 
+def test_all_seeds_share_one_dataset_and_train_as_runs_built_alone(monkeypatch):
+    cfg = tuner_cfg()
+    built = []
+    make = runner.make_dataset
+    monkeypatch.setattr(runner, "make_dataset", lambda spec: built.append(spec) or make(spec))
+    traces, summary = run_all_seeds(cfg)
+    assert built == [cfg.dataset]
+    for seed, per_seed in zip(cfg.seeds, summary["per_seed"]):
+        alone = TrainingRun(cfg, seed)
+        assert traces[seed] == alone.run() and per_seed == alone.summary()
+
+
 def test_determinism_same_seed_same_records():
     cfg = tuner_cfg()
     a = TrainingRun(cfg, 1).run()
