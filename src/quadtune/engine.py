@@ -3,8 +3,11 @@
 The engine owns one model + dataset pair, partitions each epoch into
 equal-size minibatches (the trailing partial batch is dropped so superbatch
 means equal example means), and provides the perturbed-loss evaluation used
-for learning-rate probing. All randomness flows through named, replayable
-RNG streams (`datasets.seeded_stream`) so runs and rollbacks are bit-reproducible.
+for learning-rate probing. A superbatch gathers its rows once, when it is
+drawn, and every later loss on it is measured on those rows, whatever
+permutation the engine has moved to since. All randomness flows through
+named, replayable RNG streams (`datasets.seeded_stream`) so runs and
+rollbacks are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -29,19 +32,13 @@ def mean_loss(losses) -> float:
     return total / len(losses)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Superbatch:
-    """A fixed set of distinct minibatch indices evaluated as one mean loss."""
+    """Distinct minibatch indices, in order, and the rows they named when drawn."""
 
     minibatch_indices: tuple[int, ...]
-
-    def __init__(self, minibatch_indices):
-        indices = tuple(sorted(map(int, minibatch_indices)))
-        if len(indices) == 0:
-            raise InvalidArgumentError("superbatch must contain at least one minibatch")
-        if len(set(indices)) != len(indices):
-            raise InvalidArgumentError("superbatch indices must be distinct")
-        object.__setattr__(self, "minibatch_indices", indices)
+    x: np.ndarray
+    y: np.ndarray
 
 
 class TrainingEngine:
@@ -63,10 +60,6 @@ class TrainingEngine:
         self.backward_passes = 0
         self._epoch = -1
         self._perm = np.arange(n_train)
-        # The last superbatch gathered, the permutation its rows came from, and
-        # those rows. `_perm` is only ever rebound, never written in place, so
-        # identity with both says the rows are still the superbatch's rows.
-        self._gathered: tuple = (None, None, None, None)
 
     # -- minibatch plumbing --------------------------------------------------
 
@@ -98,29 +91,11 @@ class TrainingEngine:
         """Unweighted mean of minibatch losses over the superbatch."""
         return mean_loss(self.superbatch_losses(sb))
 
-    def superbatch_losses(self, sb: Superbatch, known: Optional[dict[int, float]] = None) -> list[float]:
-        """Minibatch losses in index order; those in `known`, measured at the current params
-        and epoch permutation, are taken from there. The others are evaluated as stacked
-        minibatches (`Model.minibatch_losses`), one forward pass each. A whole superbatch's
-        rows are gathered once per superbatch and epoch permutation."""
-        indices = sb.minibatch_indices
-        if indices[0] < 0 or indices[-1] >= self.batches_per_epoch:
-            raise InvalidArgumentError("minibatch index out of range")
-        todo = indices if not known or known.keys().isdisjoint(indices) else [i for i in indices if i not in known]
-        if todo:
-            size = self.minibatch_size
-            gathered_sb, gathered_perm, x, y = self._gathered
-            if todo is not indices or sb is not gathered_sb or self._perm is not gathered_perm:
-                rows = self._perm[: self.batches_per_epoch * size].reshape(-1, size)[list(todo)].reshape(-1)
-                x, y = self.dataset.train_x[rows], self.dataset.train_y[rows]
-                if todo is indices:  # a partial gather is not the superbatch's rows
-                    self._gathered = (sb, self._perm, x, y)
-            self.forward_passes += len(todo)
-            losses = self.model.minibatch_losses(x, y, size).tolist()
-            if todo is indices:
-                return losses
-            fresh = iter(losses)  # in index order, like todo
-        return [known[i] if i in known else next(fresh) for i in indices]
+    def superbatch_losses(self, sb: Superbatch) -> list[float]:
+        """Minibatch losses in index order on the superbatch's rows, evaluated as stacked
+        minibatches (`Model.minibatch_losses`), one forward pass each."""
+        self.forward_passes += len(sb.minibatch_indices)
+        return self.model.minibatch_losses(sb.x, sb.y, self.minibatch_size).tolist()
 
     def perturbed_loss(self, direction: np.ndarray, step_size: float, sb: Superbatch) -> float:
         """Superbatch loss at params - step_size*direction; params restored bit-exactly.
@@ -141,14 +116,27 @@ class TrainingEngine:
         finally:
             params[:] = saved
 
+    def superbatch(self, minibatch_indices) -> Superbatch:
+        """The superbatch of these distinct minibatch indices, its rows gathered once,
+        under the current epoch permutation."""
+        indices = tuple(sorted(map(int, minibatch_indices)))
+        if len(indices) == 0:
+            raise InvalidArgumentError("superbatch must contain at least one minibatch")
+        if len(set(indices)) != len(indices):
+            raise InvalidArgumentError("superbatch indices must be distinct")
+        if indices[0] < 0 or indices[-1] >= self.batches_per_epoch:
+            raise InvalidArgumentError("minibatch index out of range")
+        size = self.minibatch_size
+        rows = self._perm[: self.batches_per_epoch * size].reshape(-1, size)[list(indices)].reshape(-1)
+        return Superbatch(indices, self.dataset.train_x[rows], self.dataset.train_y[rows])
+
     def draw_superbatch(self, size: int) -> Superbatch:
         """Sample `size` distinct minibatch indices from the superbatch stream."""
         if not 1 <= size <= self.batches_per_epoch:
             raise InvalidArgumentError(
                 f"superbatch size {size} not in [1, {self.batches_per_epoch}] minibatches"
             )
-        indices = self.superbatch_rng.choice(self.batches_per_epoch, size=size, replace=False)
-        return Superbatch(indices.tolist())
+        return self.superbatch(self.superbatch_rng.choice(self.batches_per_epoch, size=size, replace=False).tolist())
 
     # -- committed steps -------------------------------------------------------
 

@@ -7,6 +7,8 @@ current phase admits it: the explore phase only accepts increases, the
 exploit phase only decreases, and decreases are additionally gated on the
 loss-drop rate having saturated. With rollback enabled, accepted changes are
 snapshotted and rolled back if the drop rate degrades over the following window.
+A window's drop rate compares losses on the rows of one superbatch, drawn at the
+first step; each window opens on the rows and end losses of the one before it.
 """
 
 from __future__ import annotations
@@ -224,7 +226,7 @@ class ProbeRound:
     """
 
     step: int
-    superbatch: Superbatch
+    minibatch_indices: tuple[int, ...]  # the probed superbatch's; the log pins no rows
     eta: float
     loss_at_zero: float
     bound: float
@@ -251,7 +253,7 @@ def probe_round(
     passes = engine.forward_passes
     loss_at_zero = engine.perturbed_loss(direction, eta, sb)
     bound = epsilon_bound(cfg.epsilon_threshold_r, max(loss_at_zero, 0.0)) if math.isfinite(loss_at_zero) else 0.0
-    probe = ProbeRound(step, sb, eta, loss_at_zero, bound)
+    probe = ProbeRound(step, sb.minibatch_indices, eta, loss_at_zero, bound)
     if bound > 0.0:
         for eps in probe_points(eta, bound, cfg.n_probes, cfg.span_fraction):
             loss = loss_at_zero if eps == 0.0 else engine.perturbed_loss(direction, eta + eps, sb)
@@ -266,7 +268,7 @@ def probe_round(
 @dataclass
 class _Window:
     superbatch: Superbatch
-    start_losses: dict[int, float]  # by minibatch index, at the opening params and epoch permutation
+    start_losses: list[float]  # on the superbatch's rows, at the opening params
     start_step: int
 
 
@@ -287,19 +289,17 @@ class LearningRateTuner:
 
     # -- window bookkeeping ----------------------------------------------------
 
-    def _open_window(self, step: int, known: Optional[dict[int, float]]) -> float:
-        """The start loss of a new window; `known` holds losses already measured at these params."""
+    def _open_window(self, step: int) -> float:
+        """The start loss of a window on a freshly drawn superbatch."""
         sb = self.engine.draw_superbatch(self.cfg.superbatch_size)
-        losses = self.engine.superbatch_losses(sb, known)
-        self._window = _Window(sb, dict(zip(sb.minibatch_indices, losses)), step)
-        return mean_loss(losses)
+        self._window = _Window(sb, self.engine.superbatch_losses(sb), step)
+        return mean_loss(self._window.start_losses)
 
-    def _close_window(self, step: int) -> tuple[float, dict[int, float]]:
-        """The closed window's drop rate, and its end losses by minibatch index."""
+    def _close_window(self, step: int) -> tuple[float, list[float]]:
+        """The window's drop rate, and its end losses, measured on the rows its start was."""
         window = self._window
         losses = self.engine.superbatch_losses(window.superbatch)
-        rate = drop_rate(mean_loss(window.start_losses.values()), mean_loss(losses), step - window.start_step)
-        return rate, dict(zip(window.superbatch.minibatch_indices, losses))
+        return drop_rate(mean_loss(window.start_losses), mean_loss(losses), step - window.start_step), losses
 
     # -- rollback ----------------------------------------------------------------
 
@@ -370,18 +370,19 @@ class LearningRateTuner:
         cfg, st = self.cfg, self.state
         events: list[str] = []
         closing = step % cfg.recompute_window == 0 and self._window is not None
-        rate = saturated = probe = known = None
+        rate = saturated = probe = window_loss = None
         rolled_back = False
 
         passes = self.engine.forward_passes
         if closing:
-            rate, known = self._close_window(step)
+            window = self._window
+            rate, start_losses = self._close_window(step)
             if st.last_change_snapshot is not None:
                 if self.maybe_rollback(rate):
                     events.append(EVENT_ROLLBACK)
                     rolled_back = True
-                    # The restored params, permutation and superbatch stream are this window's opening ones.
-                    known = self._window.start_losses
+                    # The restored params are this window's opening ones.
+                    start_losses = window.start_losses
                 else:
                     # The change survived its one-shot review.
                     st.last_change_snapshot = None
@@ -390,6 +391,9 @@ class LearningRateTuner:
                 self._last_rate = rate
                 if st.saturation.reference_rate is None:
                     st.saturation = replace(st.saturation, reference_rate=rate)
+            # The next window opens on the same rows, on losses measured at its params.
+            self._window = _Window(window.superbatch, start_losses, step)
+            window_loss = mean_loss(start_losses)
 
         phase = phase_at(step, cfg)
         if phase is not st.phase:
@@ -408,9 +412,8 @@ class LearningRateTuner:
                 probe = self.recompute(step, pending.direction, self._last_rate)
                 events.append(probe.event)
 
-        window_loss = None
-        if closing or self._window is None:
-            window_loss = self._open_window(step, known)
+        if self._window is None:
+            window_loss = self._open_window(step)
 
         self.engine.commit(self.optimizer, pending, st.current_lr)
         # The step's forward passes, less its training forward and its probe round's.

@@ -106,6 +106,15 @@ class TestConfig:
         for workload in workloads.values():
             RunConfig.from_dict(workload.config(11, "out"))
 
+    def test_committed_configs_load_and_are_quoted_in_the_readme(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        paths = sorted((ROOT / "configs").glob("*.json"))
+        assert paths
+        for path in paths:
+            text = path.read_text(encoding="utf-8")
+            assert f"```json\n{text}```" in readme, f"{path.name} is not quoted in the README"
+            RunConfig.from_json_file(str(path))
+
     def test_readme_lists_every_key_of_every_kind(self):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
         tables = {"dataset": DATASETS, "model": MODELS, "optimizer": OPTIMIZERS, "lr_policy": LR_POLICIES}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quadtune.datasets import make_blobs, make_bowl_dataset, make_linear_regression, make_moons, seeded_stream
-from quadtune.engine import Superbatch, TrainingEngine
+from quadtune.engine import TrainingEngine
 from quadtune.errors import InvalidArgumentError
 from quadtune.models import LinearRegression, LogisticRegression, Mlp, QuadraticBowl
 from quadtune.optim import Momentum, Sgd, restore_snapshot, take_snapshot
@@ -31,18 +31,21 @@ def test_rng_streams_independent_and_replayable():
 
 
 def test_superbatch_normalizes_and_validates():
-    sb = Superbatch([3, 1, 2])
+    engine = make_engine()
+    sb = engine.superbatch([3, 1, 2])
     assert sb.minibatch_indices == (1, 2, 3)
+    x, y = (np.concatenate(part) for part in zip(*map(engine.minibatch, (1, 2, 3))))
+    assert sb.x.tobytes() == x.tobytes() and sb.y.tobytes() == y.tobytes()
     with pytest.raises(InvalidArgumentError):
-        Superbatch([])
+        engine.superbatch([])
     with pytest.raises(InvalidArgumentError):
-        Superbatch([1, 1, 2])
+        engine.superbatch([1, 1, 2])
 
 
 def test_superbatch_of_one_equals_the_model_loss():
     engine = make_engine()
     x, y = engine.minibatch(0)
-    assert engine.superbatch_loss(Superbatch([0])) == engine.model.loss(x, y)
+    assert engine.superbatch_loss(engine.superbatch([0])) == engine.model.loss(x, y)
 
 
 def test_superbatch_is_mean_of_minibatch_losses():
@@ -51,30 +54,28 @@ def test_superbatch_is_mean_of_minibatch_losses():
     total = 0.0
     for i in sorted(indices):
         total += engine.model.loss(*engine.minibatch(i))
-    assert engine.superbatch_loss(Superbatch(indices)) == total / len(indices)
+    assert engine.superbatch_loss(engine.superbatch(indices)) == total / len(indices)
 
 
 def test_superbatch_index_out_of_range_is_rejected():
     engine = make_engine()  # 16 train batches
-    engine.superbatch_loss(Superbatch([engine.batches_per_epoch - 1]))
+    engine.superbatch_loss(engine.superbatch([engine.batches_per_epoch - 1]))
     for indices in ([engine.batches_per_epoch], [999], [0, 999], [-1, 3]):
         with pytest.raises(InvalidArgumentError):
-            engine.superbatch_losses(Superbatch(indices), known={i: 0.0 for i in indices})
-        with pytest.raises(InvalidArgumentError):
-            engine.superbatch_loss(Superbatch(indices))
+            engine.superbatch(indices)
 
 
 def test_superbatch_value_order_invariant():
     engine = make_engine()
-    a = engine.superbatch_loss(Superbatch([0, 5, 9]))
-    b = engine.superbatch_loss(Superbatch([9, 0, 5]))
+    a = engine.superbatch_loss(engine.superbatch([0, 5, 9]))
+    b = engine.superbatch_loss(engine.superbatch([9, 0, 5]))
     assert a == b  # indices are normalized, evaluation order is identical
 
 
 def test_full_epoch_superbatch_equals_example_mean():
     engine = make_engine(n=320, mb=32)
     engine._advance_to_epoch(0)
-    sb = Superbatch(range(engine.batches_per_epoch))
+    sb = engine.superbatch(range(engine.batches_per_epoch))
     full = engine.superbatch_loss(sb)
     rows = engine._perm[: engine.batches_per_epoch * engine.minibatch_size]
     x = engine.dataset.train_x[rows]
@@ -149,10 +150,11 @@ def test_a_diverging_probe_on_a_multi_block_superbatch_warns_nothing():
 
 def test_superbatch_loss_never_serves_stale_rows():
     # Random interleavings of everything that moves the rows or the params: every
-    # superbatch loss must equal the mean of forward losses on freshly gathered minibatches.
+    # superbatch loss must equal the mean of forward losses on the minibatches its
+    # indices named when it was drawn, whatever permutation the engine holds since.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    ops = st.sampled_from(["step", "draw", "loss", "fresh", "known", "perturbed", "save", "restore", "commit"])
+    ops = st.sampled_from(["step", "draw", "loss", "again", "perturbed", "save", "restore", "commit"])
 
     @hypothesis.settings(max_examples=60, deadline=None)
     @hypothesis.given(seed=st.integers(0, 2**32), program=st.lists(st.tuples(ops, st.integers(0, 2**16)), max_size=40))
@@ -160,41 +162,37 @@ def test_superbatch_loss_never_serves_stale_rows():
         engine = make_engine(seed, n=96, mb=16)  # 6 minibatches per epoch
         params, opt = engine.model.params, Sgd()
         step = 0
-        drawn = [engine.draw_superbatch(2)]
         states = [engine.data_state()]
 
-        def reference(sb):
-            total = sum(engine.model.loss(*engine.minibatch(i)) for i in sb.minibatch_indices)
-            return total / len(sb.minibatch_indices)
+        def pinned(sb):
+            """The superbatch and the minibatches its indices name now."""
+            return sb, [engine.minibatch(i) for i in sb.minibatch_indices]
 
+        def reference(drawn_rows):
+            total = sum(engine.model.loss(x, y) for x, y in drawn_rows)
+            return total / len(drawn_rows)
+
+        drawn = [pinned(engine.draw_superbatch(2))]
         for op, k in program:
-            sb = drawn[k % len(drawn)]
+            sb, rows = drawn[k % len(drawn)]
             if op == "step":
                 step += k % 9
                 engine.batch_for_step(step)
             elif op == "draw":
-                drawn.append(engine.draw_superbatch(1 + k % engine.batches_per_epoch))
-                assert engine.superbatch_loss(drawn[-1]) == reference(drawn[-1])
+                drawn.append(pinned(engine.draw_superbatch(1 + k % engine.batches_per_epoch)))
+                assert engine.superbatch_loss(drawn[-1][0]) == reference(drawn[-1][1])
             elif op == "loss":
-                assert engine.superbatch_loss(sb) == reference(sb)
-            elif op == "fresh":
-                assert engine.superbatch_loss(Superbatch(sb.minibatch_indices)) == reference(sb)
-            elif op == "known":
-                # The bits of k pick the known minibatches; their marked values must come back
-                # as given, and only the others may be evaluated.
-                known = {i: -1.0 - i for n, i in enumerate(sb.minibatch_indices) if k >> n & 1}
-                passes = engine.forward_passes
-                losses = engine.superbatch_losses(sb, known)
-                assert engine.forward_passes - passes == len(sb.minibatch_indices) - len(known)
-                assert losses == [known[i] if i in known else engine.model.loss(*engine.minibatch(i))
-                                  for i in sb.minibatch_indices]
-                assert engine.superbatch_loss(sb) == reference(sb)  # not served from a partial gather
+                assert engine.superbatch_loss(sb) == reference(rows)
+            elif op == "again":
+                # The same indices gathered now name the current permutation's rows.
+                drawn.append(pinned(engine.superbatch(sb.minibatch_indices)))
+                assert engine.superbatch_loss(drawn[-1][0]) == reference(drawn[-1][1])
             elif op == "perturbed":
                 direction = np.array([1.0, -2.0, 0.5])
                 loss = engine.perturbed_loss(direction, k / 2**16, sb)
                 saved = params.copy()
                 params[:] = saved - k / 2**16 * direction
-                assert loss == reference(sb)
+                assert loss == reference(rows)
                 params[:] = saved
             elif op == "save":
                 states.append(engine.data_state())
@@ -254,17 +252,17 @@ def test_determinism_same_seed():
         x2, y2 = e2.batch_for_step(step)
         assert np.array_equal(x1, x2)
         assert np.array_equal(y1, y2)
-    assert e1.draw_superbatch(4) == e2.draw_superbatch(4)
+    assert e1.draw_superbatch(4).minibatch_indices == e2.draw_superbatch(4).minibatch_indices
 
 
 def test_data_state_round_trip():
     engine = make_engine()
     engine.batch_for_step(0)
     state = engine.data_state()
-    first = [engine.draw_superbatch(3) for _ in range(3)]
+    first = [engine.draw_superbatch(3).minibatch_indices for _ in range(3)]
     x_before, _ = engine.batch_for_step(engine.batches_per_epoch * 2)
     engine.restore_data_state(state)
-    replay = [engine.draw_superbatch(3) for _ in range(3)]
+    replay = [engine.draw_superbatch(3).minibatch_indices for _ in range(3)]
     x_after, _ = engine.batch_for_step(engine.batches_per_epoch * 2)
     assert first == replay
     assert np.array_equal(x_before, x_after)
@@ -293,7 +291,7 @@ def test_rollback_replays_across_epoch_boundaries():
                 sb = engine.draw_superbatch(sb_size)
                 _, grads = engine.loss_and_gradient(x, y)
                 engine.commit(opt, opt.compute_direction(params, grads), 0.01)
-                seen.append((x.tobytes(), y.tobytes(), sb))
+                seen.append((x.tobytes(), y.tobytes(), sb.minibatch_indices, sb.x.tobytes()))
             return seen
 
         train(range(snap_step))

@@ -1,10 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from quadtune import runner
 from quadtune.cli import write_trace
 from quadtune.config import RunConfig
-from quadtune.engine import TrainingEngine
 from quadtune.errors import InvalidArgumentError
 from quadtune.models import Mlp, Model
 from quadtune.runner import TrainingRun, aggregate_summaries, run_all_seeds, schedule_from_policy, tuner_config_from_policy
@@ -275,43 +276,128 @@ def test_test_metrics_run_one_forward_with_the_results_of_loss_then_predict():
     assert model.rows == len(ds.test_x)
 
 
-class NoReuseEngine(TrainingEngine):
-    """Evaluates every minibatch of a superbatch, ignoring the losses it is given."""
-
-    reused = 0
-
-    def superbatch_losses(self, sb, known=None):
-        self.reused += sum(i in (known or ()) for i in sb.minibatch_indices)
-        return super().superbatch_losses(sb)
-
-
-@pytest.mark.parametrize("policy", [
-    # Rolls back twice per seed; 15 minibatches per epoch.
+WINDOW_POLICIES = [
+    # Rolls back on both seeds; 15 minibatches per epoch, so the closes at 15 and 30 come
+    # after an epoch's reshuffle.
     {"seed_lr": 0.1, "explore_fraction": 0.5, "recompute_window": 5, "superbatch_size": 4},
-    # Windows of 7 steps cross epoch starts; S=8 of 15 minibatches share many.
+    # Windows of 7 steps cross epoch starts; S=8 of 15 minibatches.
     {"seed_lr": 0.3, "explore_fraction": 0.3, "recompute_window": 7, "superbatch_size": 8, "rollback": False},
-], ids=["rollback", "wide_superbatch"])
-def test_reused_window_losses_write_the_traces_of_fresh_ones(monkeypatch, tmp_path, policy):
-    cfg = tuner_cfg(lr_policy=dict(policy, kind="tuner", n_probes=5), epochs=3)
+]
+WINDOW_POLICY_IDS = ["rollback", "wide_superbatch"]
+
+
+def _window_cfg(policy):
+    return tuner_cfg(lr_policy=dict(policy, kind="tuner", n_probes=5), epochs=3)
+
+
+def _measure_reused_starts_again(run, measured):
+    """Evaluate each window start that a boundary reused again before its step commits."""
+    commit = run.engine.commit
+
+    def commit_after_measuring_again(*args):
+        window = run.tuner._window
+        if 0 < window.start_step == run._step:
+            window.start_losses = run.engine.superbatch_losses(window.superbatch)
+            measured.append(run._step)
+        commit(*args)
+
+    run.engine.commit = commit_after_measuring_again
+
+
+@pytest.mark.parametrize("policy", WINDOW_POLICIES, ids=WINDOW_POLICY_IDS)
+def test_reused_window_losses_write_the_traces_of_fresh_ones(tmp_path, policy):
+    # A window opens on the end losses of the one before it, or on the start losses of a
+    # rolled-back one. Measuring every such start again before the step commits must
+    # change nothing but the forward count.
+    cfg = _window_cfg(policy)
     size = cfg.lr_policy["superbatch_size"]
     rollbacks = []
     for seed in cfg.seeds:
-        runs, traces = [], []
-        for engine_class in (TrainingEngine, NoReuseEngine):
-            monkeypatch.setattr(runner, "TrainingEngine", engine_class)
-            runs.append(TrainingRun(cfg, seed))
-            path = tmp_path / f"{engine_class.__name__}_{seed}.csv"
-            write_trace(str(path), runs[-1].run())
+        runs, traces, measured_again = [], [], []
+        for again in (False, True):
+            run = TrainingRun(cfg, seed)
+            if again:
+                _measure_reused_starts_again(run, measured_again)
+            runs.append(run)
+            path = tmp_path / f"{again}_{seed}.csv"
+            write_trace(str(path), run.run())
             traces.append(path.read_bytes())
         reuse, fresh = runs
         assert traces[0] == traces[1]
-        assert fresh.engine.reused > 0
-        assert fresh.engine.forward_passes == reuse.engine.forward_passes + fresh.engine.reused
-        assert fresh.tuner.state.counters.window_forward_passes == (
-            reuse.tuner.state.counters.window_forward_passes + fresh.engine.reused)
+        extra = size * len(measured_again)
+        assert extra > 0
+        assert fresh.engine.forward_passes == reuse.engine.forward_passes + extra
+        assert fresh.tuner.state.counters.window_forward_passes == reuse.tuner.state.counters.window_forward_passes + extra
         rollbacks += [out for out in reuse.tuner.state.log if EVENT_ROLLBACK in out.events]
     assert bool(rollbacks) == cfg.lr_policy.get("rollback", True)
-    assert all(out.window_forward_passes == size for out in rollbacks)  # the reopened window runs no forward
+
+
+def test_each_close_measures_the_rows_its_window_opened_on():
+    # Every window evaluation (a model call outside a probe) is recorded with its rows.
+    # A close must evaluate the bytes its window opened on, across epoch starts and rollbacks.
+    # The superbatch is a whole epoch, so any close after a reshuffle names other rows.
+    run = TrainingRun(_window_cfg(dict(WINDOW_POLICIES[0], superbatch_size=15)), 1)
+    engine, model = run.engine, run.model
+    minibatch_losses, perturbed_loss = model.minibatch_losses, engine.perturbed_loss
+    evaluated, probing = [], []
+
+    def spy_minibatch_losses(x, y, size):
+        if not probing:
+            evaluated.append((run._step, x.tobytes(), y.tobytes()))
+        return minibatch_losses(x, y, size)
+
+    def spy_perturbed_loss(*args):
+        probing.append(True)
+        try:
+            return perturbed_loss(*args)
+        finally:
+            probing.pop()
+
+    model.minibatch_losses, engine.perturbed_loss = spy_minibatch_losses, spy_perturbed_loss
+    run.run()
+    per_epoch = engine.batches_per_epoch
+    opened = start = None
+    closes = crossed = 0
+    for out in run.tuner.state.log:
+        rows = [x_y for step, *x_y in evaluated if step == out.step]
+        if out.rate is not None:
+            same = rows[0] == opened
+            assert same, f"the close at step {out.step} measured other rows"
+            closes += 1
+            crossed += start // per_epoch < out.step // per_epoch
+        if out.superbatch_loss is not None:
+            start = out.step
+            if EVENT_ROLLBACK not in out.events:  # a rolled-back window's successor opens on its rows
+                opened = rows[-1]
+    assert closes > 0 and crossed > 0 and run.tuner.state.counters.rollbacks > 0
+
+
+def _holds_array(value):
+    if isinstance(value, np.ndarray):
+        return True
+    if dataclasses.is_dataclass(value):
+        return any(_holds_array(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return isinstance(value, (list, tuple)) and any(map(_holds_array, value))
+
+
+@pytest.mark.parametrize("policy", WINDOW_POLICIES, ids=WINDOW_POLICY_IDS)
+def test_windows_cost_one_superbatch_per_fresh_open_and_close(policy):
+    cfg = _window_cfg(policy)
+    size = cfg.lr_policy["superbatch_size"]
+    for seed in cfg.seeds:
+        run = TrainingRun(cfg, seed)
+        run.run()
+        log, counters = run.tuner.state.log, run.tuner.state.counters
+        closes = sum(out.rate is not None for out in log)
+        fresh_opens = sum(out.superbatch_loss is not None and out.rate is None for out in log)
+        assert fresh_opens == 1 and closes == (run.total_steps - 1) // run.tuner.cfg.recompute_window
+        assert counters.window_forward_passes == size * (fresh_opens + closes)
+        training = run.total_steps
+        assert run.engine.forward_passes == training + counters.probe_forward_passes + counters.window_forward_passes
+        rollbacks = [out for out in log if EVENT_ROLLBACK in out.events]
+        assert bool(rollbacks) == cfg.lr_policy.get("rollback", True)
+        assert all(out.window_forward_passes == size for out in rollbacks)  # the close alone
+        assert not _holds_array(log)  # the log keeps indices, not a superbatch's rows
 
 
 def test_explore_epochs_conversion():

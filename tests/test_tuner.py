@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from quadtune.datasets import make_bowl_dataset, make_moons
-from quadtune.engine import TrainingEngine, mean_loss
+from quadtune.engine import TrainingEngine
 from quadtune.errors import InvalidArgumentError
 from quadtune.models import Mlp, QuadraticBowl
 from quadtune.optim import Momentum, Sgd
@@ -211,13 +211,10 @@ class TestRecompute:
         c = tuner.state.counters
         assert c.recomputes == 5
         assert c.probe_forward_passes == c.recomputes * 2 * 5
-        # Windows open at 0, 5, ..., 25 and close at 5, ..., 25. A close evaluates its
-        # S minibatches; an open evaluates those it does not share with the close.
-        probed = [out.probe.superbatch for out in tuner.state.log if out.probe is not None]
-        windows = [set(sb.minibatch_indices) for sb in drawn if all(sb is not p for p in probed)]
-        assert len(windows) == 6
-        opens = len(windows[0]) + sum(len(new - old) for old, new in zip(windows, windows[1:]))
-        assert c.window_forward_passes == 5 * 2 + opens
+        # One window opens at step 0 on a drawn superbatch. The windows after it open on its
+        # rows and end losses, so the closes at 5, ..., 25 are the only other evaluations.
+        assert len(drawn) == 1 + c.recomputes
+        assert c.window_forward_passes == 2 * (1 + 5)
 
     def test_same_superbatch_for_all_probes(self, monkeypatch):
         tuner, engine, _ = bowl_tuner(window=5, sb=3, explore=0.9)
@@ -475,10 +472,10 @@ def test_phase_and_saturation_machine_on_a_bowl():
 
 
 def test_reused_window_losses_equal_fresh_ones():
-    # A window opened at a boundary takes the losses it shares with the close, and one
-    # reopened after a rollback takes the rolled-back window's start losses. Each start and
-    # end loss must equal, bit for bit, a fresh evaluation at that moment's params and
-    # permutation. 20 minibatches per epoch, so most windows cross an epoch start.
+    # A window opens on the rows and end losses of the window before it, or, after a
+    # rollback, on the rolled-back window's start losses. Each start and end loss must
+    # equal, bit for bit, a fresh evaluation of the rows drawn at step 0 at that moment's
+    # params. 20 minibatches per epoch, so most windows cross an epoch start.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     ds = make_moons(n=200, noise=0.2, seed=1)
@@ -491,36 +488,32 @@ def test_reused_window_losses_equal_fresh_ones():
         cfg = TunerConfig(seed_lr=seed_lr, total_steps=total, explore_budget=0.5, recompute_window=window,
                           superbatch_size=sb, n_probes=3, epsilon_threshold_r=r)
         tuner = LearningRateTuner(cfg, engine, Momentum(0.9))
-        open_window, close_window = tuner._open_window, tuner._close_window
-        window_passes = 0
+        close_window, commit = tuner._close_window, engine.commit
+        rows = []
 
-        def fresh(superbatch):
-            """Minibatch losses of a fresh gather at the current params and permutation, counted nowhere."""
-            x, y = (np.concatenate(part) for part in zip(*map(engine.minibatch, superbatch.minibatch_indices)))
+        def fresh():
+            """Minibatch losses of the rows drawn at step 0, at the current params, counted nowhere."""
+            x, y = (np.concatenate(part) for part in zip(*rows))
             return engine.model.minibatch_losses(x, y, engine.minibatch_size).tolist()
 
-        def counted(fn, *args):
-            nonlocal window_passes
-            passes = engine.forward_passes
-            out = fn(*args)
-            window_passes += engine.forward_passes - passes
-            return out
-
-        def spy_open(step, known):
-            start_loss = counted(open_window, step, known)
-            losses = fresh(tuner._window.superbatch)
-            assert list(tuner._window.start_losses.values()) == losses
-            assert start_loss == mean_loss(losses)
-            return start_loss
-
         def spy_close(step):
-            rate, end_losses = counted(close_window, step)
-            assert list(end_losses.values()) == fresh(tuner._window.superbatch)
+            rate, end_losses = close_window(step)
+            assert end_losses == fresh()
             return rate, end_losses
 
-        tuner._open_window, tuner._close_window = spy_open, spy_close
+        def spy_commit(*args):
+            window = tuner._window
+            if window.start_step == step:  # the window opened at this step, at these params
+                if step == 0:
+                    rows.extend(engine.minibatch(i) for i in window.superbatch.minibatch_indices)
+                assert window.start_losses == fresh()
+            commit(*args)
+
+        tuner._close_window, engine.commit = spy_close, spy_commit
+        closes = 0
         with np.errstate(over="ignore", invalid="ignore"):
-            drive(tuner, engine, total)
-        assert tuner.state.counters.window_forward_passes == window_passes
+            for step in range(total):
+                closes += tuner.run_step(step, *engine.batch_for_step(step)).rate is not None
+        assert tuner.state.counters.window_forward_passes == sb * (1 + closes)
 
     check()
