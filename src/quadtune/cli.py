@@ -87,14 +87,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _sweep_metric(per_seed: list[dict]) -> list[float]:
-    for metric in ("final_test_acc", "final_test_loss", "final_train_loss"):
-        values = [s[metric] for s in per_seed if s.get(metric) is not None]
-        if values:
-            return values
-    raise QuadtuneError("no metric available for sweep aggregation")
-
-
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     if cfg.lr_policy.get("kind") != "tuner":
@@ -109,11 +101,11 @@ def cmd_sweep(args) -> int:
     for value, name in zip(values, names):
         policy, out_dir = dict(cfg.lr_policy, seed_lr=value), os.path.join(cfg.out_dir, name)
         sub_cfg = RunConfig.from_dict(dict(cfg.to_dict(), lr_policy=policy, out_dir=out_dir))
-        summary = _run_and_write(sub_cfg)
-        stats = summarize(_sweep_metric(summary["per_seed"]))
-        rows.append((value, stats.mean, stats.stddev))
+        aggregate = _run_and_write(sub_cfg)["aggregate"]
+        stats = next(aggregate[m] for m in ("final_test_acc", "final_test_loss", "final_train_loss") if m in aggregate)
+        rows.append((value, stats["mean"], stats["stddev"]))
         if not args.quiet:
-            print(f"seed_lr={value:g}: mean={stats.mean:.6g} stddev={stats.stddev:.3g}")
+            print(f"seed_lr={value:g}: mean={stats['mean']:.6g} stddev={stats['stddev']:.3g}")
 
     _write_csv(os.path.join(cfg.out_dir, "sweep.csv"), ["value", "mean", "stddev"], rows)
     return 0

@@ -1,11 +1,12 @@
 """Deterministic training substrate: minibatching, superbatch losses, probing.
 
 The engine owns one model + dataset pair, partitions each epoch into
-equal-size minibatches (the trailing partial batch is dropped so superbatch
-means equal example means), and provides the perturbed-loss evaluation used
-for learning-rate probing. A superbatch gathers its rows once, when it is
-drawn, and every later loss on it is measured on those rows, whatever
-permutation the engine has moved to since. All randomness flows through
+equal-size minibatches (the trailing partial batch is dropped, so the mean of
+a superbatch's minibatch losses is the model's loss on all its rows, and that
+is how a superbatch loss is measured), and provides the perturbed-loss
+evaluation used for learning-rate probing. A superbatch gathers its rows
+once, when it is drawn, and every later loss on it is measured on those rows,
+whatever permutation the engine has moved to since. All randomness flows through
 named, replayable RNG streams (`datasets.seeded_stream`) so runs and
 rollbacks are bit-reproducible.
 """
@@ -22,14 +23,6 @@ from .datasets import Dataset, seeded_stream
 from .errors import InvalidArgumentError
 from .models import TASK_CLASSIFICATION, TASK_NONE, Model
 from .optim import Optimizer, PendingStep
-
-
-def mean_loss(losses) -> float:
-    """Mean of minibatch losses, added one by one in the order given."""
-    total = 0.0
-    for loss in losses:
-        total += loss
-    return total / len(losses)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,14 +81,10 @@ class TrainingEngine:
         return self.model.loss_and_gradient(x, y)
 
     def superbatch_loss(self, sb: Superbatch) -> float:
-        """Unweighted mean of minibatch losses over the superbatch."""
-        return mean_loss(self.superbatch_losses(sb))
-
-    def superbatch_losses(self, sb: Superbatch) -> list[float]:
-        """Minibatch losses in index order on the superbatch's rows, evaluated as stacked
-        minibatches (`Model.minibatch_losses`), one forward pass each."""
+        """The model's mean loss on the superbatch's rows, counted as one forward
+        pass per minibatch."""
         self.forward_passes += len(sb.minibatch_indices)
-        return self.model.minibatch_losses(sb.x, sb.y, self.minibatch_size).tolist()
+        return self.model.loss(sb.x, sb.y)
 
     def perturbed_loss(self, direction: np.ndarray, step_size: float, sb: Superbatch) -> float:
         """Superbatch loss at params - step_size*direction; params restored bit-exactly.

@@ -7,11 +7,10 @@ for regression, softmax cross-entropy for classification. Means are written
 wrapper. The quadratic bowl is a data-free objective on the parameters
 themselves, used as an analytic oracle in tests.
 
-Every `Mlp` evaluation (`loss`, `predict`, `loss_and_predict` and the
-stacked minibatches of `minibatch_losses`) runs in blocks of rows through
-`logits`. Each stacked group's loss equals `loss` on that group alone, and a
-blocked result equals one unblocked forward, bit for bit, while the BLAS
-computes a row of a matrix product the same way whatever the number of rows.
+Every `Mlp` evaluation (`loss`, `predict` and `loss_and_predict`) runs in
+blocks of rows through `logits`. A blocked result equals one unblocked
+forward, bit for bit, while the BLAS computes a row of a matrix product the
+same way whatever the number of rows.
 A batch of two or more blocks runs them concurrently, one thread per CPU this
 process may run on; each block is the same computation on the same rows
 whichever thread runs it, so the result is the same bits.
@@ -73,10 +72,6 @@ class Model:
     def loss_and_gradient(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
         return self.loss(x, y), self.gradient(x, y)
 
-    def minibatch_losses(self, x: np.ndarray, y: np.ndarray, size: int) -> np.ndarray:
-        """Mean loss of each consecutive `size`-row group of the batch."""
-        return np.array([self.loss(x[i : i + size], y[i : i + size]) for i in range(0, len(x), size)])
-
     def predict(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -111,10 +106,6 @@ class LinearRegression(Model):
         grad[: self.n_features] = x.T @ r / n
         grad[self.n_features] = r.sum() / n
         return grad
-
-    def minibatch_losses(self, x, y, size):
-        r = self.predict(x) - y
-        return (0.5 * r * r).reshape(-1, size).sum(axis=1) / size
 
 
 class Mlp(Model):
@@ -246,10 +237,6 @@ class Mlp(Model):
         """Loss and predictions from one forward pass."""
         out = self.logits(x)
         return float(self._row_losses(out, y)[0].sum() / len(out)), self._predictions(out)
-
-    def minibatch_losses(self, x, y, size):
-        rows, _ = self._row_losses(self.logits(x), y)
-        return rows.reshape(-1, size).sum(axis=1) / size
 
     def gradient(self, x, y):
         return self.loss_and_gradient(x, y)[1]

@@ -8,7 +8,7 @@ exploit phase only decreases, and decreases are additionally gated on the
 loss-drop rate having saturated. With rollback enabled, accepted changes are
 snapshotted and rolled back if the drop rate degrades over the following window.
 A window's drop rate compares losses on the rows of one superbatch, drawn at the
-first step; each window opens on the rows and end losses of the one before it.
+first step; each window opens on the rows and end loss of the one before it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .engine import Superbatch, TrainingEngine, mean_loss
+from .engine import Superbatch, TrainingEngine
 from .errors import InvalidArgumentError
 from .optim import Optimizer, Snapshot, restore_snapshot, take_snapshot
 from .quadprobe import (
@@ -268,7 +268,7 @@ def probe_round(
 @dataclass
 class _Window:
     superbatch: Superbatch
-    start_losses: list[float]  # on the superbatch's rows, at the opening params
+    start_loss: float  # on the superbatch's rows, at the opening params
     start_step: int
 
 
@@ -292,14 +292,14 @@ class LearningRateTuner:
     def _open_window(self, step: int) -> float:
         """The start loss of a window on a freshly drawn superbatch."""
         sb = self.engine.draw_superbatch(self.cfg.superbatch_size)
-        self._window = _Window(sb, self.engine.superbatch_losses(sb), step)
-        return mean_loss(self._window.start_losses)
+        self._window = _Window(sb, self.engine.superbatch_loss(sb), step)
+        return self._window.start_loss
 
-    def _close_window(self, step: int) -> tuple[float, list[float]]:
-        """The window's drop rate, and its end losses, measured on the rows its start was."""
+    def _close_window(self, step: int) -> tuple[float, float]:
+        """The window's drop rate, and its end loss, measured on the rows its start was."""
         window = self._window
-        losses = self.engine.superbatch_losses(window.superbatch)
-        return drop_rate(mean_loss(window.start_losses), mean_loss(losses), step - window.start_step), losses
+        loss = self.engine.superbatch_loss(window.superbatch)
+        return drop_rate(window.start_loss, loss, step - window.start_step), loss
 
     # -- rollback ----------------------------------------------------------------
 
@@ -376,13 +376,13 @@ class LearningRateTuner:
         passes = self.engine.forward_passes
         if closing:
             window = self._window
-            rate, start_losses = self._close_window(step)
+            rate, window_loss = self._close_window(step)
             if st.last_change_snapshot is not None:
                 if self.maybe_rollback(rate):
                     events.append(EVENT_ROLLBACK)
                     rolled_back = True
                     # The restored params are this window's opening ones.
-                    start_losses = window.start_losses
+                    window_loss = window.start_loss
                 else:
                     # The change survived its one-shot review.
                     st.last_change_snapshot = None
@@ -391,9 +391,8 @@ class LearningRateTuner:
                 self._last_rate = rate
                 if st.saturation.reference_rate is None:
                     st.saturation = replace(st.saturation, reference_rate=rate)
-            # The next window opens on the same rows, on losses measured at its params.
-            self._window = _Window(window.superbatch, start_losses, step)
-            window_loss = mean_loss(start_losses)
+            # The next window opens on the same rows, on a loss measured at its params.
+            self._window = _Window(window.superbatch, window_loss, step)
 
         phase = phase_at(step, cfg)
         if phase is not st.phase:

@@ -54,7 +54,30 @@ def test_superbatch_is_mean_of_minibatch_losses():
     total = 0.0
     for i in sorted(indices):
         total += engine.model.loss(*engine.minibatch(i))
-    assert engine.superbatch_loss(engine.superbatch(indices)) == total / len(indices)
+    assert engine.superbatch_loss(engine.superbatch(indices)) == pytest.approx(total / len(indices), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize(
+    "make_model, dataset",
+    [
+        (lambda: Mlp([2, 16, 8, 2], rng=np.random.default_rng(2)), make_moons(n=400, seed=2)),
+        (lambda: LogisticRegression(2, 3), make_blobs(n=400, k=3, dim=2, seed=2)),
+        (lambda: LinearRegression(2), make_linear_regression(n=400, dim=2, noise=0.5, seed=2)),
+        (lambda: QuadraticBowl([1.0, 10.0], theta0=[0.5, -2.0]), make_bowl_dataset(400)),
+    ],
+    ids=["mlp", "logreg", "linreg", "bowl"],
+)
+def test_superbatch_loss_is_the_model_loss_on_its_rows(make_model, dataset):
+    model = make_model()
+    model.params[:] += np.random.default_rng(3).normal(scale=0.1, size=model.params.size)
+    engine = TrainingEngine(model, dataset, 16, seed=4)
+    sb = engine.draw_superbatch(5)
+    loop = [model.loss(*engine.minibatch(i)) for i in sb.minibatch_indices]
+    passes = engine.forward_passes
+    loss = engine.superbatch_loss(sb)
+    assert engine.forward_passes == passes + 5
+    assert loss == model.loss(sb.x, sb.y)
+    assert loss == pytest.approx(sum(loop) / len(loop), rel=1e-12, abs=0)
 
 
 def test_superbatch_index_out_of_range_is_rejected():
@@ -103,7 +126,7 @@ def test_perturbed_loss_matches_bowl_closed_form():
 
 
 class RaisingLinearRegression(LinearRegression):
-    def minibatch_losses(self, x, y, size):
+    def loss(self, x, y):
         raise RuntimeError("model failed")
 
 
@@ -150,8 +173,8 @@ def test_a_diverging_probe_on_a_multi_block_superbatch_warns_nothing():
 
 def test_superbatch_loss_never_serves_stale_rows():
     # Random interleavings of everything that moves the rows or the params: every
-    # superbatch loss must equal the mean of forward losses on the minibatches its
-    # indices named when it was drawn, whatever permutation the engine holds since.
+    # superbatch loss must equal the model's loss on the minibatches its indices named
+    # when it was drawn, whatever permutation the engine holds since.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     ops = st.sampled_from(["step", "draw", "loss", "again", "perturbed", "save", "restore", "commit"])
@@ -169,8 +192,8 @@ def test_superbatch_loss_never_serves_stale_rows():
             return sb, [engine.minibatch(i) for i in sb.minibatch_indices]
 
         def reference(drawn_rows):
-            total = sum(engine.model.loss(x, y) for x, y in drawn_rows)
-            return total / len(drawn_rows)
+            x, y = (np.concatenate(part) for part in zip(*drawn_rows))
+            return engine.model.loss(x, y)
 
         drawn = [pinned(engine.draw_superbatch(2))]
         for op, k in program:

@@ -120,37 +120,6 @@ def test_mlp_seeded_init_deterministic():
     assert np.array_equal(a.params, b.params)
 
 
-def _groups_loop(model, x, y, size):
-    return [model.loss(x[i : i + size], y[i : i + size]) for i in range(0, len(x), size)]
-
-
-@pytest.mark.parametrize(
-    "make, size, groups",
-    [
-        (lambda rng: Mlp([3, 16, 8, 3], rng=rng), 32, 10),
-        (lambda rng: Mlp([3, 12, 1], task="regression", rng=rng), 16, 7),
-        # 65536 // 1024 = 64 rows per block: 7 groups span 4 blocks.
-        (lambda rng: Mlp([3, 1024, 2], rng=rng), 32, 7),
-        # A 96-row minibatch is wider than a block, so groups straddle blocks.
-        (lambda rng: Mlp([3, 1024, 3], rng=rng), 96, 3),
-        (lambda rng: LogisticRegression(3, 4), 8, 5),
-        (lambda rng: LinearRegression(3), 16, 9),
-    ],
-    ids=["mlp", "mlp_regression", "mlp_4_blocks", "mlp_block_per_minibatch", "logreg", "linreg"],
-)
-def test_minibatch_losses_equal_a_loop_of_loss(make, size, groups):
-    rng = np.random.default_rng(5)
-    model = make(rng)
-    model.params[:] += rng.normal(scale=0.1, size=model.params.size)
-    x = rng.normal(size=(size * groups, 3))
-    if model.task == "classification":
-        y = rng.integers(0, model.layer_sizes[-1], size=len(x))
-    else:
-        y = rng.normal(size=len(x))
-    losses = model.minibatch_losses(x, y, size)
-    assert losses.tolist() == _groups_loop(model, x, y, size)
-
-
 def _spy_forward(model):
     """Record the rows, the first input value, the output and the thread of each `_forward` call of `model`."""
     calls = []
@@ -171,9 +140,7 @@ def test_every_evaluation_runs_in_blocks_of_rows():
     for n, blocks in ((7 * 32, [64, 64, 64, 32]), (3 * 96, [64, 64, 64, 64, 32]), (200, [64, 64, 64, 8])):
         x, y = np.zeros((n, 3)), np.zeros(n, dtype=int)
         x[:, 0] = np.arange(n)  # a block's first value is its start row
-        evaluations = [lambda: model.loss(x, y), lambda: model.predict(x), lambda: model.loss_and_predict(x, y)]
-        evaluations += [lambda size=size: model.minibatch_losses(x, y, size) for size in (32, 96) if n % size == 0]
-        for evaluate in evaluations:
+        for evaluate in (lambda: model.loss(x, y), lambda: model.predict(x), lambda: model.loss_and_predict(x, y)):
             calls.clear()
             evaluate()
             # Blocks may run concurrently, so they are compared by start row, not by call order.
@@ -277,16 +244,8 @@ def test_blocked_evaluation_equals_one_unblocked_forward(sizes, n):
     out = model._forward(x)[0]
     rows, _ = model._row_losses(out, y)
     loss, predicted = model.loss_and_predict(x, y)
-    assert loss == float(rows.sum() / n)
+    assert loss == model.loss(x, y) == float(rows.sum() / n)
     assert predicted.tobytes() == model._predictions(out).tobytes()
-    if n % 32 == 0:
-        assert model.minibatch_losses(x, y, 32).tobytes() == (rows.reshape(-1, 32).sum(axis=1) / 32).tobytes()
-
-
-def test_bowl_minibatch_losses_equal_a_loop_of_loss():
-    bowl = QuadraticBowl([1.0, 10.0], theta0=[0.5, -2.0])
-    x, y = np.zeros((12, 1)), np.zeros(12)
-    assert bowl.minibatch_losses(x, y, 4).tolist() == _groups_loop(bowl, x, y, 4) == [20.125] * 3
 
 
 @pytest.mark.parametrize(
@@ -349,11 +308,8 @@ def test_means_equal_their_np_mean_forms(n):
     r = linreg.predict(x[:n]) - y[:n]
     assert linreg.loss(x[:n], y[:n]) == float(np.mean(0.5 * r * r))
     assert linreg.gradient(x[:n], y[:n]).tolist() == [*(x[:n].T @ r / n), r.mean()]
-    r = linreg.predict(x) - y
-    assert linreg.minibatch_losses(x, y, n).tolist() == (0.5 * r * r).reshape(-1, n).mean(axis=1).tolist()
     mlp = Mlp([4, 16, 3], rng=rng)
     labels = rng.integers(0, 3, size=3 * n)
     rows, _ = mlp._row_losses(mlp.logits(x), labels)
     assert mlp.loss(x, labels) == float(np.mean(rows))
     assert mlp.loss_and_gradient(x, labels)[0] == float(np.mean(rows))
-    assert mlp.minibatch_losses(x, labels, n).tolist() == rows.reshape(-1, n).mean(axis=1).tolist()

@@ -7,7 +7,7 @@ from quadtune import runner
 from quadtune.cli import write_trace
 from quadtune.config import RunConfig
 from quadtune.errors import InvalidArgumentError
-from quadtune.models import Mlp, Model
+from quadtune.models import Mlp
 from quadtune.runner import TrainingRun, aggregate_summaries, run_all_seeds, schedule_from_policy, tuner_config_from_policy
 from quadtune.schedules import CosineDecay, StepSchedule, lr_at
 from quadtune.tuner import EVENT_ROLLBACK
@@ -172,17 +172,6 @@ def _wide_tuner_cfg():
     return tuner_cfg(model={"kind": "mlp", "hidden": [1024]}, lr_policy=policy, epochs=3)
 
 
-def test_stacked_superbatch_losses_replay_the_minibatch_loop(monkeypatch):
-    cfg = _wide_tuner_cfg()
-    fast = TrainingRun(cfg, 1)
-    fast_records = fast.run()
-    monkeypatch.setattr(Mlp, "minibatch_losses", Model.minibatch_losses)
-    loop = TrainingRun(cfg, 1)
-    assert loop.run() == fast_records
-    assert loop.tuner.state.counters == fast.tuner.state.counters
-    assert fast.tuner.state.counters.recomputes > 0
-
-
 def _reference_loss_and_gradient(self, x, y):
     """Classification `Mlp.loss_and_gradient` written plainly: views rebuilt
     from `params` on every call, `np.mean`, a zeroed gradient filled by copies."""
@@ -297,7 +286,7 @@ def _measure_reused_starts_again(run, measured):
     def commit_after_measuring_again(*args):
         window = run.tuner._window
         if 0 < window.start_step == run._step:
-            window.start_losses = run.engine.superbatch_losses(window.superbatch)
+            window.start_loss = run.engine.superbatch_loss(window.superbatch)
             measured.append(run._step)
         commit(*args)
 
@@ -306,7 +295,7 @@ def _measure_reused_starts_again(run, measured):
 
 @pytest.mark.parametrize("policy", WINDOW_POLICIES, ids=WINDOW_POLICY_IDS)
 def test_reused_window_losses_write_the_traces_of_fresh_ones(tmp_path, policy):
-    # A window opens on the end losses of the one before it, or on the start losses of a
+    # A window opens on the end loss of the one before it, or on the start loss of a
     # rolled-back one. Measuring every such start again before the step commits must
     # change nothing but the forward count.
     cfg = _window_cfg(policy)
@@ -338,13 +327,13 @@ def test_each_close_measures_the_rows_its_window_opened_on():
     # The superbatch is a whole epoch, so any close after a reshuffle names other rows.
     run = TrainingRun(_window_cfg(dict(WINDOW_POLICIES[0], superbatch_size=15)), 1)
     engine, model = run.engine, run.model
-    minibatch_losses, perturbed_loss = model.minibatch_losses, engine.perturbed_loss
+    loss, perturbed_loss = model.loss, engine.perturbed_loss
     evaluated, probing = [], []
 
-    def spy_minibatch_losses(x, y, size):
+    def spy_loss(x, y):
         if not probing:
             evaluated.append((run._step, x.tobytes(), y.tobytes()))
-        return minibatch_losses(x, y, size)
+        return loss(x, y)
 
     def spy_perturbed_loss(*args):
         probing.append(True)
@@ -353,7 +342,7 @@ def test_each_close_measures_the_rows_its_window_opened_on():
         finally:
             probing.pop()
 
-    model.minibatch_losses, engine.perturbed_loss = spy_minibatch_losses, spy_perturbed_loss
+    model.loss, engine.perturbed_loss = spy_loss, spy_perturbed_loss
     run.run()
     per_epoch = engine.batches_per_epoch
     opened = start = None

@@ -472,8 +472,8 @@ def test_phase_and_saturation_machine_on_a_bowl():
 
 
 def test_reused_window_losses_equal_fresh_ones():
-    # A window opens on the rows and end losses of the window before it, or, after a
-    # rollback, on the rolled-back window's start losses. Each start and end loss must
+    # A window opens on the rows and end loss of the window before it, or, after a
+    # rollback, on the rolled-back window's start loss. Each start and end loss must
     # equal, bit for bit, a fresh evaluation of the rows drawn at step 0 at that moment's
     # params. 20 minibatches per epoch, so most windows cross an epoch start.
     hypothesis = pytest.importorskip("hypothesis")
@@ -492,21 +492,21 @@ def test_reused_window_losses_equal_fresh_ones():
         rows = []
 
         def fresh():
-            """Minibatch losses of the rows drawn at step 0, at the current params, counted nowhere."""
+            """The loss of the rows drawn at step 0, at the current params, counted nowhere."""
             x, y = (np.concatenate(part) for part in zip(*rows))
-            return engine.model.minibatch_losses(x, y, engine.minibatch_size).tolist()
+            return engine.model.loss(x, y)
 
         def spy_close(step):
-            rate, end_losses = close_window(step)
-            assert end_losses == fresh()
-            return rate, end_losses
+            rate, end_loss = close_window(step)
+            assert end_loss == fresh()
+            return rate, end_loss
 
         def spy_commit(*args):
             window = tuner._window
             if window.start_step == step:  # the window opened at this step, at these params
                 if step == 0:
                     rows.extend(engine.minibatch(i) for i in window.superbatch.minibatch_indices)
-                assert window.start_losses == fresh()
+                assert window.start_loss == fresh()
             commit(*args)
 
         tuner._close_window, engine.commit = spy_close, spy_commit
