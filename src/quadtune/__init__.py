@@ -9,8 +9,9 @@ rollback of changes that hurt the loss-drop rate.
 
 import os
 
-# `Mlp.logits` runs the row blocks of a batch on one thread per CPU; a BLAS
-# that started threads of its own would compete with them for the same cores.
+# `Mlp.logits` runs a multi-block batch as one share of row blocks per CPU, on
+# the calling thread and a worker thread per other CPU; a BLAS that started
+# threads of its own would compete with them for the same cores.
 # Set before numpy loads, and only where the user has not set a value.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")

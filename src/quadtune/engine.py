@@ -51,6 +51,7 @@ class TrainingEngine:
         self.superbatch_rng = seeded_stream(seed, "superbatch")
         self.forward_passes = 0
         self.backward_passes = 0
+        self._saved_params = np.empty_like(model.params)  # perturbed_loss's restore point
         self._epoch = -1
         self._perm = np.arange(n_train)
 
@@ -93,12 +94,16 @@ class TrainingEngine:
         caller can discard the probe.
         """
         params = self.model.params
-        saved = params.copy()
+        saved = self._saved_params
+        saved[:] = params
         try:
             # Divergent probes are expected to overflow, in the perturbation
             # or in the loss; the non-finite value itself is the discard marker.
+            # The perturbation is written in place: a probe allocates no
+            # parameter-sized temporary.
             with np.errstate(over="ignore", invalid="ignore"):
-                np.subtract(saved, step_size * direction, out=params)
+                np.multiply(direction, step_size, out=params)
+                np.subtract(saved, params, out=params)
                 if not np.isfinite(params).all():
                     return math.nan
                 return self.superbatch_loss(sb)

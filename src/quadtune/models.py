@@ -10,16 +10,23 @@ themselves, used as an analytic oracle in tests.
 Every `Mlp` evaluation (`loss`, `predict` and `loss_and_predict`) runs in
 blocks of rows through `logits`. A blocked result equals one unblocked
 forward, bit for bit, while the BLAS computes a row of a matrix product the
-same way whatever the number of rows.
-A batch of two or more blocks runs them concurrently, one thread per CPU this
-process may run on; each block is the same computation on the same rows
-whichever thread runs it, so the result is the same bits.
+same way whatever the number of rows around it; block edges fall on whole
+groups of 8 rows, because some kernels round a row by its place in a group.
+A batch of two or more blocks is cut into equal blocks, as many as a multiple
+of the CPUs this process may run on, and runs them as one contiguous share
+per CPU, the calling thread running the first; each block is the same
+computation on the same rows whichever thread runs it, so the result is the
+same bits. Block edges therefore depend on the CPU count. Under the same
+premise that changes nothing; where the BLAS rounds a row differently at
+some row counts (a small-matrix kernel near its size threshold), a result
+can differ in the last bit between hosts with different CPU counts, and each
+host still replays exactly.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Optional
 
 import numpy as np
@@ -35,24 +42,26 @@ TASK_NONE = "none"
 # L2 cache. On a 2-vCPU host with one BLAS thread, a [2, 256, 256, 2]
 # superbatch of 50x32 rows took 8.5 ms as 50 forwards, 6.4 ms in 256-row
 # blocks on one thread and 8.2 ms as one 1600-row stack; an 800-row test set,
-# 4.8 ms as one forward and 3.3 ms in blocks on one thread. The blocks of one
-# batch run on the threads of _POOL: measured again on that host, the
-# superbatch took 4.2 ms on two threads against 8.9 ms in turn, and the test
-# set 2.7 ms against 4.9 ms.
+# 4.8 ms as one forward and 3.3 ms in blocks on one thread. A multi-block
+# batch runs as one share of equal blocks per CPU, the calling thread running
+# one: on that host (30 alternating rounds in one process) the superbatch's
+# loss took 3.9 ms as 8 blocks of 200 rows, 4 of them on the calling thread,
+# against 4.1 ms as 7 blocks of at most 256 rows on two workers while the
+# calling thread waited; the test set, 2.1 ms as 4 blocks of 200 against 2.2 ms.
 BLOCK_ELEMENTS = 2**16
 
 
-def _block_pool() -> Optional[ThreadPoolExecutor]:
-    """One worker per CPU this process may run on, or None with one CPU (the
-    blocks then run in turn). The executor starts its threads at the first
-    multi-block batch, not here."""
+def _block_pool() -> tuple[int, Optional[ThreadPoolExecutor]]:
+    """The share count, one per CPU this process may run on, and a pool of a
+    worker per share but the calling thread's (None with one CPU). The
+    executor starts its threads at the first multi-block batch, not here."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return ThreadPoolExecutor(cpus, thread_name_prefix="quadtune-block") if cpus > 1 else None
+    return cpus, ThreadPoolExecutor(cpus - 1, thread_name_prefix="quadtune-block") if cpus > 1 else None
 
 
-_POOL = _block_pool()
+_SHARES, _POOL = _block_pool()
 if hasattr(os, "register_at_fork"):  # a forked child inherits the pool but none of its threads
-    os.register_at_fork(after_in_child=lambda: globals().update(_POOL=_block_pool()))
+    os.register_at_fork(after_in_child=lambda: globals().update(zip(("_SHARES", "_POOL"), _block_pool())))
 
 
 class Model:
@@ -205,21 +214,48 @@ class Mlp(Model):
     def logits(self, x):
         """Network output, one `_forward` per block of rows (see BLOCK_ELEMENTS).
 
-        The blocks of a multi-block batch run on `_POOL`, each under the
-        caller's floating-point error state (a worker thread starts with
-        numpy's default one), and are joined in row order.
+        A multi-block batch is cut into equal blocks, their count rounded up
+        to a multiple of `_SHARES` and their edges to whole groups of rows,
+        and each share of contiguous blocks writes its rows of one output
+        array. The calling thread runs the first share and `_POOL` the
+        others, each under the caller's floating-point error state (a worker
+        thread starts with numpy's default one); the caller waits for every
+        worker share, even when its own share raised.
         """
+        n = len(x)
         block = max(1, BLOCK_ELEMENTS // max(self.layer_sizes))
-        if len(x) <= block:
+        if n <= block:
             return self._forward(x)[0]
+        # Edges fall on multiples of `group` rows. The BLAS computes a product's
+        # rows in groups, and a row's last bits can depend on its place in its
+        # group (a [256, 2] layer's do at row counts that are not a multiple of
+        # 4), so edges on group boundaries give each row the bits it has in one
+        # unblocked forward, whatever the share count.
+        group = 8 if block >= 8 else 1
+        units = -(-n // group)
+        shares = _SHARES
+        blocks = -(-units // (block // group))
+        blocks += -blocks % shares
+        edges = [min(n, group * (i * units // blocks)) for i in range(blocks + 1)]
+        cuts = list(zip(edges, edges[1:]))
+        per_share = blocks // shares
+        out = np.empty((n, self.layer_sizes[-1]), np.result_type(x, self.params))
         errors = np.geterr()
 
-        def forward(start):
+        def run(share):
             with np.errstate(**errors):
-                return self._forward(x[start : start + block])[0]
+                for start, stop in cuts[share * per_share : (share + 1) * per_share]:
+                    if start < stop:  # more shares than rows leave some blocks empty
+                        out[start:stop] = self._forward(x[start:stop])[0]
 
-        starts = range(0, len(x), block)
-        return np.concatenate(list(_POOL.map(forward, starts) if _POOL else map(forward, starts)))
+        futures = [_POOL.submit(run, share) for share in range(1, shares)]
+        try:
+            run(0)
+        finally:
+            wait(futures)
+        for future in futures:
+            future.result()
+        return out
 
     def _predictions(self, out):
         if self.task == TASK_CLASSIFICATION:

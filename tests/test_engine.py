@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -157,9 +158,24 @@ def test_perturbed_loss_nonfinite_marker():
     assert np.all(np.isfinite(engine.model.params))
 
 
+def test_a_probe_allocates_no_parameter_sized_temporary():
+    model = Mlp([2, 320, 320, 2], rng=np.random.default_rng(6))  # 104322 params
+    engine = TrainingEngine(model, make_moons(n=200, seed=6), 4, seed=6)
+    sb = engine.draw_superbatch(1)
+    direction = np.full_like(model.params, 0.01)
+    engine.perturbed_loss(direction, 0.5, sb)  # warm-up
+    tracemalloc.start()
+    try:
+        engine.perturbed_loss(direction, 0.5, sb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < model.params.nbytes / 4
+
+
 def test_a_diverging_probe_on_a_multi_block_superbatch_warns_nothing():
-    # 50 minibatches of 32 rows run as seven 256-row blocks, concurrently where there
-    # are CPUs for it; the probe's overflow in a block's matmul must stay silent there too.
+    # 50 minibatches of 32 rows run as equal blocks of at most 256 rows, concurrently where
+    # there are CPUs for it; the probe's overflow in a block's matmul must stay silent there too.
     model = Mlp([2, 256, 256, 2], rng=np.random.default_rng(5))
     engine = TrainingEngine(model, make_moons(n=2000, seed=5), 32, seed=5)
     sb = engine.draw_superbatch(50)

@@ -6,7 +6,9 @@ import pickle
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -134,17 +136,103 @@ def _spy_forward(model):
     return calls
 
 
-def test_every_evaluation_runs_in_blocks_of_rows():
-    model = Mlp([3, 1024, 2])  # 65536 // 1024 = 64 rows per block
+@pytest.fixture
+def set_shares(monkeypatch):
+    """Sets the share count of `Mlp.logits` to k, with a pool of k - 1 workers."""
+    pools = []
+
+    def set_shares(k):
+        pool = ThreadPoolExecutor(k - 1) if k > 1 else None
+        pools.append(pool)
+        monkeypatch.setattr(quadtune.models, "_SHARES", k)
+        monkeypatch.setattr(quadtune.models, "_POOL", pool)
+
+    yield set_shares
+    for pool in pools:
+        if pool is not None:
+            pool.shutdown()
+
+
+def test_every_evaluation_runs_in_blocks_of_rows(set_shares):
+    model = Mlp([3, 1024, 2])  # 65536 // 1024 = 64 rows per block at most
     calls = _spy_forward(model)
-    for n, blocks in ((7 * 32, [64, 64, 64, 32]), (3 * 96, [64, 64, 64, 64, 32]), (200, [64, 64, 64, 8])):
-        x, y = np.zeros((n, 3)), np.zeros(n, dtype=int)
-        x[:, 0] = np.arange(n)  # a block's first value is its start row
-        for evaluate in (lambda: model.loss(x, y), lambda: model.predict(x), lambda: model.loss_and_predict(x, y)):
-            calls.clear()
-            evaluate()
-            # Blocks may run concurrently, so they are compared by start row, not by call order.
-            assert sorted((start, rows) for rows, start, _, _ in calls) == list(zip(range(0, n, 64), blocks))
+    # ceil(n / 64) blocks, rounded up to a multiple of the share count, cut into
+    # equal blocks on edges at multiples of 8 rows: 8 * (i * ceil(n / 8) // blocks)
+    for shares, blocks in (
+        (1, {7 * 32: [56] * 4, 3 * 96: [56, 56, 56, 56, 64], 200: [48, 48, 48, 56]}),
+        (2, {7 * 32: [56] * 4, 3 * 96: [48] * 6, 200: [48, 48, 48, 56]}),
+        (3, {7 * 32: [32, 40, 40] * 2, 3 * 96: [48] * 6, 200: [32] * 5 + [40]}),
+    ):
+        set_shares(shares)
+        for n, sizes in blocks.items():
+            x, y = np.zeros((n, 3)), np.zeros(n, dtype=int)
+            x[:, 0] = np.arange(n)  # a block's first value is its start row
+            starts = np.cumsum([0] + sizes[:-1]).tolist()
+            for evaluate in (lambda: model.loss(x, y), lambda: model.predict(x), lambda: model.loss_and_predict(x, y)):
+                calls.clear()
+                evaluate()
+                # Blocks may run concurrently, so they are compared by start row, not by call order.
+                assert sorted((start, rows) for rows, start, _, _ in calls) == list(zip(starts, sizes)), shares
+
+
+@pytest.mark.parametrize("shares", [2, 3])
+def test_the_calling_thread_runs_the_first_share(set_shares, shares):
+    set_shares(shares)
+    model = Mlp([3, 1024, 2])
+    calls = _spy_forward(model)
+    x = np.zeros((6 * 64, 3))
+    x[:, 0] = np.arange(len(x))
+    model.logits(x)
+    first_share = 6 * 64 // shares
+    on_caller = sorted(start for _, start, _, thread in calls if thread == threading.get_ident())
+    assert on_caller == list(range(0, first_share, 64))
+
+
+def test_an_exception_in_the_callers_share_waits_for_the_worker_share(set_shares):
+    set_shares(2)
+    model = Mlp([3, 1024, 2])
+    forward = model._forward
+    caller = threading.get_ident()
+    raised = threading.Event()
+    finished = []
+
+    def spy(x, keep_inputs=False):
+        if threading.get_ident() == caller:
+            raised.set()
+            raise RuntimeError("the caller's block failed")
+        raised.wait(10)
+        time.sleep(0.05)  # the worker share is still running when the caller's raise arrives
+        out = forward(x, keep_inputs)
+        finished.append(len(x))
+        return out
+
+    model._forward = spy
+    with pytest.raises(RuntimeError, match="the caller's block failed"):
+        model.logits(np.zeros((4 * 64, 3)))
+    assert finished == [64, 64]
+
+
+@pytest.mark.parametrize("shares", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "sizes, n",
+    [([2, 256, 256, 2], 50 * 32), ([2, 256, 256, 2], 800), ([2, 64, 32, 2], 10 * 32)],
+    ids=["wide_probe_superbatch", "wide_probe_test_set", "moons_superbatch"],
+)
+def test_blocked_results_are_the_same_bits_for_any_share_count(set_shares, sizes, n, shares):
+    set_shares(shares)
+    rng = np.random.default_rng(n)
+    model = Mlp(sizes, rng=rng)
+    model.params[:] += rng.normal(scale=0.1, size=model.params.size)
+    x, y = rng.normal(size=(n, 2)), rng.integers(0, 2, size=n)
+    out = model._forward(x)[0]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # with 4 shares, more threads than a 2-CPU host has cores, switching often
+    try:
+        for _ in range(3):
+            assert model.logits(x).tobytes() == out.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+    assert model.loss(x, y) == float(model._row_losses(out, y)[0].sum() / n)
 
 
 def test_a_batch_that_fits_one_block_is_one_forward_without_a_copy():
@@ -166,7 +254,8 @@ def test_a_batch_that_fits_one_block_runs_on_the_calling_thread():
 
 
 @pytest.mark.skipif(quadtune.models._POOL is None, reason="one CPU: the blocks run in turn")
-def test_a_multi_block_evaluation_runs_its_blocks_on_several_threads():
+def test_a_multi_block_evaluation_runs_its_blocks_on_several_threads(monkeypatch):
+    monkeypatch.setattr(quadtune.models, "_SHARES", 2)  # two shares of two blocks, whatever the CPU count
     model = Mlp([3, 1024, 2])
     forward = model._forward
     threads = []
