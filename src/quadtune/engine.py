@@ -21,7 +21,7 @@ import numpy as np
 
 from .datasets import Dataset, seeded_stream
 from .errors import InvalidArgumentError
-from .models import TASK_CLASSIFICATION, TASK_NONE, Model
+from .models import TASK_CLASSIFICATION, Model
 from .optim import Optimizer, PendingStep
 
 
@@ -140,11 +140,9 @@ class TrainingEngine:
     # -- evaluation (not part of the training cost model) ----------------------
 
     def test_metrics(self) -> tuple[Optional[float], Optional[float]]:
-        """(test loss, test accuracy); accuracy only for classification."""
+        """(test loss, test accuracy); accuracy only for classification, neither without test rows."""
         ds = self.dataset
         if ds.test_x.shape[0] == 0:
-            if ds.task == TASK_NONE:
-                return self.model.loss(ds.train_x, ds.train_y), None
             return None, None
         if ds.task == TASK_CLASSIFICATION:
             loss, predicted = self.model.loss_and_predict(ds.test_x, ds.test_y)

@@ -67,8 +67,6 @@ if hasattr(os, "register_at_fork"):  # a forked child inherits the pool but none
 class Model:
     """Base: flat parameter vector plus loss/gradient over a batch."""
 
-    task: str = TASK_NONE
-
     def __init__(self, n_params: int):
         self.params = np.zeros(n_params, dtype=np.float64)
 
@@ -84,14 +82,9 @@ class Model:
     def predict(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def loss_and_predict(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-        return self.loss(x, y), self.predict(x)
-
 
 class LinearRegression(Model):
     """y_hat = x @ w + b with loss mean(0.5 * (y_hat - y)^2)."""
-
-    task = TASK_REGRESSION
 
     def __init__(self, n_features: int):
         super().__init__(n_features + 1)
@@ -304,8 +297,6 @@ class LogisticRegression(Mlp):
 class QuadraticBowl(Model):
     """Deterministic objective 0.5 * theta^T A theta; ignores the batch."""
 
-    task = TASK_NONE
-
     def __init__(self, matrix: np.ndarray, theta0: Optional[np.ndarray] = None):
         a = np.asarray(matrix, dtype=np.float64)
         if a.ndim == 1:
@@ -327,6 +318,3 @@ class QuadraticBowl(Model):
 
     def gradient(self, x=None, y=None):
         return self.matrix @ self.params
-
-    def predict(self, x):
-        return np.zeros(len(x))

@@ -45,6 +45,7 @@ class Optimizer:
 
     # Attributes saved in snapshots; a direction's payload holds the ones it updates.
     BUFFERS: tuple[str, ...] = ()
+    decoupled_decay = False  # True: weight decay is applied at commit, not folded into the gradient
 
     def __init__(self, weight_decay: float = 0.0):
         if weight_decay < 0.0:
@@ -55,15 +56,19 @@ class Optimizer:
     def compute_direction(self, params: np.ndarray, grads: np.ndarray) -> PendingStep:
         """Direction d for update theta <- theta - lr*d, plus pending internals.
 
+        L2 weight decay is folded into the gradient here, unless it is decoupled.
         Pure with respect to committed state: calling twice with the same
         inputs returns identical results.
         """
         grads = np.asarray(grads, dtype=np.float64)
-        if grads.shape != np.asarray(params).shape:
+        params = np.asarray(params, dtype=np.float64)
+        if grads.shape != params.shape:
             raise InvalidArgumentError("gradient shape does not match parameters")
         if not np.isfinite(grads).all():
             raise QuadtuneError("non-finite gradient")
-        direction, payload = self._direction(np.asarray(params, dtype=np.float64), grads)
+        if self.weight_decay and not self.decoupled_decay:
+            grads = grads + self.weight_decay * params
+        direction, payload = self._direction(params, grads)
         return PendingStep(direction=direction, token=self.step_count, payload=payload)
 
     def commit_step(self, params: np.ndarray, lr: float, pending: PendingStep) -> None:
@@ -116,10 +121,10 @@ class Optimizer:
 
 
 class Sgd(Optimizer):
-    """Plain gradient descent; L2 weight decay folded into the gradient."""
+    """Plain gradient descent."""
 
     def _direction(self, params, grads):
-        return (grads + self.weight_decay * params if self.weight_decay else grads), {}
+        return grads, {}
 
 
 class Momentum(Optimizer):
@@ -135,17 +140,15 @@ class Momentum(Optimizer):
         self.velocity: Optional[np.ndarray] = None
 
     def _direction(self, params, grads):
-        g = grads + self.weight_decay * params if self.weight_decay else grads
         v = self.velocity if self.velocity is not None else np.zeros_like(params)
-        v_next = self.mu * v + g
+        v_next = self.mu * v + grads
         return v_next, {"velocity": v_next}
 
 
 class Adam(Optimizer):
-    """Adam with bias correction; weight decay (if any) folded into the gradient."""
+    """Adam with bias correction."""
 
     BUFFERS = ("m", "v")
-    decoupled_decay = False
 
     def __init__(
         self,
@@ -164,14 +167,11 @@ class Adam(Optimizer):
         self.v: Optional[np.ndarray] = None
 
     def _direction(self, params, grads):
-        g = grads
-        if self.weight_decay and not self.decoupled_decay:
-            g = grads + self.weight_decay * params
         m = self.m if self.m is not None else np.zeros_like(params)
         v = self.v if self.v is not None else np.zeros_like(params)
         t = self.step_count + 1
-        m_next = self.beta1 * m + (1.0 - self.beta1) * g
-        v_next = self.beta2 * v + (1.0 - self.beta2) * g * g
+        m_next = self.beta1 * m + (1.0 - self.beta1) * grads
+        v_next = self.beta2 * v + (1.0 - self.beta2) * grads * grads
         m_hat = m_next / (1.0 - self.beta1**t)
         v_hat = v_next / (1.0 - self.beta2**t)
         d = m_hat / (np.sqrt(v_hat) + self.eps_stab)

@@ -377,17 +377,15 @@ class LearningRateTuner:
         if closing:
             window = self._window
             rate, window_loss = self._close_window(step)
-            if st.last_change_snapshot is not None:
-                if self.maybe_rollback(rate):
-                    events.append(EVENT_ROLLBACK)
-                    rolled_back = True
-                    # The restored params are this window's opening ones.
-                    window_loss = window.start_loss
-                else:
-                    # The change survived its one-shot review.
-                    st.last_change_snapshot = None
-                    st.drop_rate_before_change = None
-            if not rolled_back:
+            if self.maybe_rollback(rate):
+                events.append(EVENT_ROLLBACK)
+                rolled_back = True
+                # The restored params are this window's opening ones.
+                window_loss = window.start_loss
+            else:
+                # A change under review survived its one-shot review.
+                st.last_change_snapshot = None
+                st.drop_rate_before_change = None
                 self._last_rate = rate
                 if st.saturation.reference_rate is None:
                     st.saturation = replace(st.saturation, reference_rate=rate)

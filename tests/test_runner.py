@@ -1,9 +1,10 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from quadtune import runner
+from quadtune import cli, runner
 from quadtune.cli import write_trace
 from quadtune.config import RunConfig
 from quadtune.errors import InvalidArgumentError
@@ -451,7 +452,6 @@ def test_null_is_taken_only_where_the_default_is_none():
     assert run.model.params.tolist() == [1.0, 1.0]
     policy = {"kind": "schedule", "variant": "one_cycle", "max_lr": 0.5, "momentum_range": None}
     assert schedule_from_policy(policy, batches_per_epoch=10).momentum_range is None
-    assert schedule_cfg(model={"kind": "mlp", "task": None}).model["task"] is None
     with pytest.raises(InvalidArgumentError, match="hidden"):
         schedule_cfg(model={"kind": "mlp", "hidden": None})
     with pytest.raises(InvalidArgumentError, match="weight_decay"):
@@ -462,6 +462,46 @@ def test_bowl_matrix_wins_over_diag():
     model = {"kind": "bowl", "diag": [1.0, 10.0], "matrix": [[2.0, 0.0], [0.0, 3.0]]}
     run = TrainingRun(schedule_cfg(model=model, dataset={"kind": "bowl", "n": 64}), 1)
     assert run.model.matrix.tolist() == [[2.0, 0.0], [0.0, 3.0]]
+
+
+DATASET_SPECS = {"blobs": {"kind": "blobs", "n": 200, "k": 3}, "moons": {"kind": "moons", "n": 200},
+                 "linreg": {"kind": "linreg", "n": 200}, "bowl": {"kind": "bowl", "n": 64}}
+MODEL_SPECS = {"linreg": {"kind": "linreg"}, "logreg": {"kind": "logreg"}, "mlp": {"kind": "mlp", "hidden": [4]},
+               "bowl": {"kind": "bowl", "diag": [1.0, 10.0]}, "mlp_task": {"kind": "mlp", "task": "regression"}}
+TRAINS = {"linreg": {"linreg"}, "logreg": {"blobs", "moons"}, "mlp": {"blobs", "moons", "linreg"}, "bowl": {"bowl"},
+          "mlp_task": set()}
+
+
+@pytest.mark.parametrize("dataset", DATASET_SPECS)
+@pytest.mark.parametrize("model", MODEL_SPECS)
+def test_a_model_kind_trains_only_the_dataset_tasks_it_takes(model, dataset, tmp_path, capsys):
+    raw = {
+        "dataset": DATASET_SPECS[dataset], "model": MODEL_SPECS[model],
+        "optimizer": {"kind": "sgd", "minibatch_size": 16},
+        "lr_policy": {"kind": "schedule", "variant": "constant", "lr": 0.1},
+        "epochs": 1, "seeds": [1], "out_dir": str(tmp_path / "out"),
+    }
+    if dataset in TRAINS[model]:
+        run = TrainingRun(RunConfig.from_dict(raw), 1)
+        if model == "mlp":  # the dataset decides the task and the output width
+            assert run.model.task == run.dataset.task
+            assert run.model.layer_sizes[-1] == (run.dataset.num_classes or 1)
+        return
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["train", "--config", str(path), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_bowl_without_test_rows_reports_no_test_metrics():
+    cfg = schedule_cfg(dataset={"kind": "bowl", "n": 2}, model={"kind": "bowl", "diag": [1.0, 10.0]},
+                       optimizer={"kind": "sgd", "minibatch_size": 1})
+    run = TrainingRun(cfg, 1)
+    assert run.dataset.test_x.shape[0] == 0
+    records = run.run()
+    assert all(r.test_loss is None and r.test_acc is None for r in records)
+    assert run.summary()["final_test_loss"] is None
 
 
 def test_unknown_model_kind_is_config_error():
