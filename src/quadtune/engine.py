@@ -21,7 +21,7 @@ import numpy as np
 
 from .datasets import Dataset, seeded_stream
 from .errors import InvalidArgumentError
-from .models import TASK_CLASSIFICATION, Model
+from .models import TASK_CLASSIFICATION, Mlp, Model
 from .optim import Optimizer, PendingStep
 
 
@@ -34,10 +34,26 @@ class Superbatch:
     y: np.ndarray
 
 
+def _check_pairing(model: Model, dataset: Dataset) -> None:
+    """The dataset decides the task: the model must train it. A classification dataset
+    needs at least 2 classes, and an Mlp one output per class, or one for regression."""
+    name = type(model).__name__
+    if model.task != dataset.task:
+        raise InvalidArgumentError(f"{name} model trains {model.task}, not its dataset's task {dataset.task}")
+    outputs = 1
+    if dataset.task == TASK_CLASSIFICATION:
+        outputs = dataset.num_classes or 0
+        if outputs < 2:
+            raise InvalidArgumentError(f"a classification dataset needs at least 2 classes, not {dataset.num_classes}")
+    if isinstance(model, Mlp) and model.layer_sizes[-1] != outputs:
+        raise InvalidArgumentError(f"{name} model has {model.layer_sizes[-1]} outputs, its dataset needs {outputs}")
+
+
 class TrainingEngine:
     """Single-run training substrate with per-run cost counters."""
 
     def __init__(self, model: Model, dataset: Dataset, minibatch_size: int, seed: int):
+        _check_pairing(model, dataset)
         if minibatch_size < 1:
             raise InvalidArgumentError("minibatch_size must be >= 1")
         n_train = dataset.train_x.shape[0]
@@ -52,6 +68,7 @@ class TrainingEngine:
         self.forward_passes = 0
         self.backward_passes = 0
         self._saved_params = np.empty_like(model.params)  # perturbed_loss's restore point
+        self._finite = np.empty(model.params.shape, dtype=bool)  # and its finiteness mask
         self._epoch = -1
         self._perm = np.arange(n_train)
 
@@ -99,12 +116,12 @@ class TrainingEngine:
         try:
             # Divergent probes are expected to overflow, in the perturbation
             # or in the loss; the non-finite value itself is the discard marker.
-            # The perturbation is written in place: a probe allocates no
-            # parameter-sized temporary.
+            # The perturbation and its finiteness mask are written in place:
+            # a probe allocates no parameter-sized temporary.
             with np.errstate(over="ignore", invalid="ignore"):
                 np.multiply(direction, step_size, out=params)
                 np.subtract(saved, params, out=params)
-                if not np.isfinite(params).all():
+                if not np.isfinite(params, out=self._finite).all():
                     return math.nan
                 return self.superbatch_loss(sb)
         finally:

@@ -67,6 +67,8 @@ if hasattr(os, "register_at_fork"):  # a forked child inherits the pool but none
 class Model:
     """Base: flat parameter vector plus loss/gradient over a batch."""
 
+    task: str  # the dataset task it trains; `TrainingEngine` checks it against its dataset's
+
     def __init__(self, n_params: int):
         self.params = np.zeros(n_params, dtype=np.float64)
 
@@ -85,6 +87,8 @@ class Model:
 
 class LinearRegression(Model):
     """y_hat = x @ w + b with loss mean(0.5 * (y_hat - y)^2)."""
+
+    task = TASK_REGRESSION
 
     def __init__(self, n_features: int):
         super().__init__(n_features + 1)
@@ -289,13 +293,15 @@ class LogisticRegression(Mlp):
     """Multinomial logistic regression: a one-layer, zero-initialised softmax Mlp."""
 
     def __init__(self, n_features: int, n_classes: int):
-        if n_classes < 2:
-            raise InvalidArgumentError("need at least 2 classes")
+        if (n_classes or 0) < 2:  # a dataset without classes has n_classes None
+            raise InvalidArgumentError(f"logistic regression needs at least 2 classes, not {n_classes}")
         super().__init__([n_features, n_classes])
 
 
 class QuadraticBowl(Model):
     """Deterministic objective 0.5 * theta^T A theta; ignores the batch."""
+
+    task = TASK_NONE
 
     def __init__(self, matrix: np.ndarray, theta0: Optional[np.ndarray] = None):
         a = np.asarray(matrix, dtype=np.float64)

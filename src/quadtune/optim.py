@@ -34,16 +34,16 @@ class Snapshot:
     """Full restore point: parameters, optimizer state, lr, step index, RNG position."""
 
     params: np.ndarray
-    opt_state: dict[str, Any]
+    opt_state: dict[str, Any]  # the optimizer's "kind", "step_count" and a copy of its "buffers"
     lr: float
     step_index: int
     rng_cursor: Any = None
 
 
 class Optimizer:
-    """Base class implementing the compute/commit protocol and snapshots."""
+    """Base class implementing the compute/commit protocol."""
 
-    # Attributes saved in snapshots; a direction's payload holds the ones it updates.
+    # The optimizer's state, copied by snapshots; a direction's payload holds the ones it updates.
     BUFFERS: tuple[str, ...] = ()
     decoupled_decay = False  # True: weight decay is applied at commit, not folded into the gradient
 
@@ -78,7 +78,7 @@ class Optimizer:
         if pending.token != self.step_count:
             raise QuadtuneError("pending step does not match the optimizer's committed state")
         self._committed_update(params, lr, pending)
-        self._apply(pending.payload)
+        vars(self).update(pending.payload)
         self.step_count += 1
 
     def _committed_update(self, params: np.ndarray, lr: float, pending: PendingStep) -> None:
@@ -86,38 +86,6 @@ class Optimizer:
 
     def _direction(self, params: np.ndarray, grads: np.ndarray) -> tuple[np.ndarray, dict]:
         raise NotImplementedError
-
-    def _apply(self, payload: dict) -> None:
-        for name, value in payload.items():
-            setattr(self, name, value)
-
-    # -- snapshot support ---------------------------------------------------
-
-    def state_dict(self) -> dict[str, Any]:
-        return {
-            "kind": type(self).__name__,
-            "step_count": self.step_count,
-            "buffers": copy.deepcopy(self._buffers()),
-        }
-
-    def load_state_dict(self, state: dict[str, Any]) -> None:
-        if state.get("kind") != type(self).__name__:
-            raise QuadtuneError(
-                f"snapshot for {state.get('kind')} cannot restore a {type(self).__name__}"
-            )
-        self._check_buffers(state["buffers"])
-        self.step_count = int(state["step_count"])
-        self._apply(copy.deepcopy(state["buffers"]))
-
-    def _buffers(self) -> dict[str, Any]:
-        return {name: getattr(self, name) for name in self.BUFFERS}
-
-    def _check_buffers(self, buffers: dict[str, Any]) -> None:
-        for key, value in buffers.items():
-            current = self._buffers().get(key)
-            if isinstance(value, np.ndarray) and isinstance(current, np.ndarray):
-                if value.shape != current.shape:
-                    raise QuadtuneError(f"buffer {key!r} shape mismatch")
 
 
 class Sgd(Optimizer):
@@ -201,7 +169,11 @@ def take_snapshot(
     """Restore point for rollback: params and optimizer state are copied, ``rng_cursor`` is kept as given."""
     return Snapshot(
         params=np.array(params, dtype=np.float64, copy=True),
-        opt_state=optimizer.state_dict(),
+        opt_state={
+            "kind": type(optimizer).__name__,
+            "step_count": optimizer.step_count,
+            "buffers": copy.deepcopy({name: getattr(optimizer, name) for name in optimizer.BUFFERS}),
+        },
         lr=float(lr),
         step_index=int(step_index),
         rng_cursor=rng_cursor,
@@ -209,8 +181,13 @@ def take_snapshot(
 
 
 def restore_snapshot(snapshot: Snapshot, params: np.ndarray, optimizer: Optimizer) -> None:
-    """Restore parameters (in place) and optimizer state from a snapshot."""
+    """Restore parameters (in place) and optimizer state from a snapshot of the same
+    parameter shape and optimizer kind; every buffer has the parameters' shape."""
+    state = snapshot.opt_state
     if snapshot.params.shape != params.shape:
         raise QuadtuneError("snapshot parameter shape does not match the model")
+    if state["kind"] != type(optimizer).__name__:
+        raise QuadtuneError(f"snapshot for {state['kind']} cannot restore a {type(optimizer).__name__}")
     params[:] = snapshot.params
-    optimizer.load_state_dict(snapshot.opt_state)
+    optimizer.step_count = state["step_count"]
+    vars(optimizer).update(copy.deepcopy(state["buffers"]))

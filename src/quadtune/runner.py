@@ -13,7 +13,6 @@ from .engine import TrainingEngine
 from .errors import InvalidArgumentError
 from .models import (
     TASK_CLASSIFICATION,
-    TASK_NONE,
     TASK_REGRESSION,
     LinearRegression,
     LogisticRegression,
@@ -58,31 +57,21 @@ class RunRecord:
 CSV_COLUMNS = [f.name for f in fields(RunRecord)]
 
 
-def _trained(dataset: Dataset, model: str, *tasks: str) -> Dataset:
-    """The dataset, if its task is one that the model kind trains: the dataset decides a run's task."""
-    if dataset.task not in tasks:
-        raise InvalidArgumentError(f"{model} model needs a dataset of task {' or '.join(tasks)}, not {dataset.task}")
-    return dataset
-
-
 def _build_mlp(dataset: Dataset, rng: np.random.Generator, hidden=(32,)) -> Model:
-    task = _trained(dataset, "mlp", TASK_CLASSIFICATION, TASK_REGRESSION).task
-    n_out = dataset.num_classes if task == TASK_CLASSIFICATION else 1
-    return Mlp([dataset.n_features, *hidden, n_out], task=task, rng=rng)
-
-
-def _build_bowl(dataset: Dataset, rng: np.random.Generator, matrix, theta0=None) -> Model:
-    _trained(dataset, "bowl", TASK_NONE)
-    return QuadraticBowl(matrix, theta0)
+    """An Mlp for the dataset's task: one output per class, or one for any other task,
+    which it trains as regression; `TrainingEngine` rejects a task it cannot train."""
+    if dataset.task == TASK_CLASSIFICATION:
+        return Mlp([dataset.n_features, *hidden, dataset.num_classes], rng=rng)
+    return Mlp([dataset.n_features, *hidden, 1], task=TASK_REGRESSION, rng=rng)
 
 
 # Model factories take the dataset and the init generator before the spec's arguments.
 MODELS = {
-    "linreg": (lambda dataset, rng: LinearRegression(_trained(dataset, "linreg", TASK_REGRESSION).n_features), {}),
-    "logreg": (lambda dataset, rng: LogisticRegression(
-        _trained(dataset, "logreg", TASK_CLASSIFICATION).n_features, dataset.num_classes), {}),
+    "linreg": (lambda dataset, rng: LinearRegression(dataset.n_features), {}),
+    "logreg": (lambda dataset, rng: LogisticRegression(dataset.n_features, dataset.num_classes), {}),
     "mlp": (_build_mlp, {"hidden": [int]}),
-    "bowl": (_build_bowl, {"diag": ("matrix", [float]), "matrix": [[float]], "theta0": [float]}),
+    "bowl": (lambda dataset, rng, matrix, theta0=None: QuadraticBowl(matrix, theta0),
+             {"diag": ("matrix", [float]), "matrix": [[float]], "theta0": [float]}),
 }
 
 OPTIMIZERS = {

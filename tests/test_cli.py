@@ -4,6 +4,8 @@ import json
 import os
 import re
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -338,6 +340,8 @@ MALFORMED = [
     pytest.param(None, {"optimizer": {"kind": "sgd"}, "lr_policy": ONE_CYCLE}, id="momentum_range-on-sgd"),
     pytest.param(None, {"lr_policy": dict(ONE_CYCLE, div_factor=0.0)}, id="one_cycle-div_factor-zero"),
     pytest.param(None, {"lr_policy": dict(ONE_CYCLE, final_div=0.0)}, id="one_cycle-final_div-zero"),
+    pytest.param(None, {"lr_policy": dict(COSINE, kind="cyclic")}, id="lr_policy-unknown-kind"),
+    pytest.param(None, {"lr_policy": dict(COSINE, variant="tuner")}, id="schedule-variant-tuner"),
 ]
 
 
@@ -365,6 +369,26 @@ def test_every_command_rejects_an_unknown_key(tmp_path, capsys, command):
     assert main([command[0], "--config", path, *command[1:], "--quiet"]) == 1
     assert capsys.readouterr().err == "config error: unknown key 'rolback' in tuner lr_policy\n"
     assert not os.path.exists(raw["out_dir"])
+
+
+def _run_module(*args):
+    """A fresh `python -m quadtune.cli` process on args, importing this tree's package."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-m", "quadtune.cli", *args], env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+def test_the_module_entry_point_exits_with_each_outcome_code(tmp_path):
+    raw = tuner_raw(tmp_path, epochs=1)
+    done = _run_module("train", "--config", write_config(tmp_path, raw), "--quiet")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert sorted(os.listdir(raw["out_dir"])) == ["summary.json", "trace_seed1.csv"]
+    raw["lr_policy"]["rolback"] = False
+    done = _run_module("train", "--config", write_config(tmp_path, raw), "--quiet")
+    assert (done.returncode, done.stderr) == (1, "config error: unknown key 'rolback' in tuner lr_policy\n")
+    done = _run_module("train", "--config", write_config(tmp_path, tuner_raw(tmp_path, epochs=1)), "--quiet",
+                       "--out", os.path.join(raw["out_dir"], "summary.json"))
+    assert done.returncode == 2 and done.stderr.startswith("io error:") and "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("command", [
@@ -475,6 +499,14 @@ class TestQuadcheckCommand:
             assert abs(float(measured) - float(fitted)) <= 1e-9 * max(1.0, abs(float(measured)))
         out = capsys.readouterr().out
         assert "quad_min:" in out
+
+    @pytest.mark.parametrize("at_step", [-1, 60])
+    def test_a_step_outside_the_run_is_config_error(self, tmp_path, capsys, at_step):
+        raw = tuner_raw(tmp_path)  # 15 minibatches per epoch, 4 epochs: steps 0 to 59
+        path = write_config(tmp_path, raw)
+        assert main(["quadcheck", "--config", path, "--at-step", str(at_step), "--quiet"]) == 1
+        assert capsys.readouterr().err == "config error: at_step must lie within the configured run\n"
+        assert not os.path.exists(raw["out_dir"])
 
     def test_schedule_policy_reads_probe_settings(self, tmp_path):
         # Schedule runs take n_probes from lr_policy with the tuner's defaults.

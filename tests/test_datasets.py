@@ -81,7 +81,8 @@ def test_negative_seed_and_noise_rejected(spec):
         make_dataset(spec)
 
 
-def _write_idx_pair(tmpdir, count=4, rows=28, cols=28, image_magic=0x803, label_magic=0x801, label_count=None):
+def _write_idx_pair(tmpdir, count=4, rows=28, cols=28, image_magic=0x803, label_magic=0x801, label_count=None,
+                    classes=10):
     images_path = os.path.join(tmpdir, "images.idx")
     labels_path = os.path.join(tmpdir, "labels.idx")
     rng = np.random.default_rng(0)
@@ -90,7 +91,7 @@ def _write_idx_pair(tmpdir, count=4, rows=28, cols=28, image_magic=0x803, label_
         f.write(struct.pack(">iiii", image_magic, count, rows, cols))
         f.write(pixels.tobytes())
     n_labels = count if label_count is None else label_count
-    labels = (np.arange(n_labels) % 10).astype(np.uint8)
+    labels = (np.arange(n_labels) % classes).astype(np.uint8)
     with open(labels_path, "wb") as f:
         f.write(struct.pack(">ii", label_magic, n_labels))
         f.write(labels.tobytes())
@@ -155,6 +156,21 @@ def test_idx_run_reports_test_metrics(tmp_path):
     assert main(["train", "--config", str(tmp_path / "cfg.json"), "--quiet"]) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())["per_seed"][0]
     assert summary["final_test_loss"] is not None and summary["final_test_acc"] is not None
+
+
+@pytest.mark.parametrize("model", [{"kind": "mlp", "hidden": [4]}, {"kind": "logreg"}])
+def test_a_one_class_idx_dataset_is_config_error(tmp_path, model, capsys):
+    # All labels 0: an mlp would get one softmax output, whose loss and gradient are 0.
+    images, labels, _ = _write_idx_pair(str(tmp_path), count=64, rows=2, cols=2, classes=1)
+    raw = {"dataset": {"kind": "idx", "images": images, "labels": labels}, "model": model,
+           "optimizer": {"kind": "sgd", "minibatch_size": 8},
+           "lr_policy": {"kind": "schedule", "variant": "constant", "lr": 0.1}, "epochs": 1, "seeds": [1],
+           "out_dir": str(tmp_path / "out")}
+    (tmp_path / "cfg.json").write_text(json.dumps(raw))
+    assert main(["train", "--config", str(tmp_path / "cfg.json"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "needs at least 2 classes, not 1" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("missing", ["test_images", "test_labels"])

@@ -158,6 +158,23 @@ def test_perturbed_loss_nonfinite_marker():
     assert np.all(np.isfinite(engine.model.params))
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_one_nonfinite_perturbed_parameter_discards_the_probe_unmeasured(value):
+    engine = make_engine()
+    sb = engine.draw_superbatch(2)
+    d = np.zeros_like(engine.model.params)
+    d[1] = value
+    passes = engine.forward_passes
+    assert np.isnan(engine.perturbed_loss(d, 1.0, sb))
+    assert engine.forward_passes == passes
+
+
+def test_a_model_without_parameters_is_probed():
+    engine = TrainingEngine(QuadraticBowl(np.zeros((0, 0))), make_bowl_dataset(16), 8, seed=0)
+    assert engine.perturbed_loss(np.zeros(0), 1.0, engine.draw_superbatch(1)) == 0.0
+    assert engine.forward_passes == 1
+
+
 def test_a_probe_allocates_no_parameter_sized_temporary():
     model = Mlp([2, 320, 320, 2], rng=np.random.default_rng(6))  # 104322 params
     engine = TrainingEngine(model, make_moons(n=200, seed=6), 4, seed=6)
@@ -170,7 +187,7 @@ def test_a_probe_allocates_no_parameter_sized_temporary():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < model.params.nbytes / 4
+    assert peak < model.params.nbytes / 16
 
 
 def test_a_diverging_probe_on_a_multi_block_superbatch_warns_nothing():
@@ -343,6 +360,27 @@ def test_rollback_replays_across_epoch_boundaries():
         assert params.tobytes() == final
 
     check()
+
+
+@pytest.mark.parametrize("model, message", [
+    (LinearRegression(2), "LinearRegression model trains regression, not its dataset's task classification"),
+    (QuadraticBowl([1.0, 10.0]), "QuadraticBowl model trains none, not its dataset's task classification"),
+    (Mlp([2, 4, 1], task="regression"), "Mlp model trains regression, not its dataset's task classification"),
+    (Mlp([2, 4, 3]), "Mlp model has 3 outputs, its dataset needs 2"),
+    (LogisticRegression(2, 3), "LogisticRegression model has 3 outputs, its dataset needs 2"),
+], ids=["linreg", "bowl", "regression_mlp", "mlp_width", "logreg_width"])
+def test_the_engine_takes_only_a_model_that_trains_its_dataset(model, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        TrainingEngine(model, make_moons(n=100, seed=0), 10, seed=0)
+
+
+def test_a_classification_dataset_needs_two_classes():
+    ds = make_moons(n=100, seed=0)
+    ds.train_y[:] = 0
+    ds.test_y[:] = 0
+    ds.num_classes = 1
+    with pytest.raises(InvalidArgumentError, match="a classification dataset needs at least 2 classes, not 1"):
+        TrainingEngine(Mlp([2, 4, 1]), ds, 10, seed=0)
 
 
 def test_blobs_learnable_by_logreg():

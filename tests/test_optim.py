@@ -104,6 +104,14 @@ def test_adamw_decoupled_decay():
     assert params[0] == pytest.approx(2.0 - 0.1 * pending.direction[0] - 0.1 * 0.1 * 2.0)
 
 
+def test_adamw_without_decay_keeps_a_negative_zero_parameter():
+    # A zero gradient gives a zero direction; subtracting a decay of 0 * -0.0 would give +0.0.
+    opt = AdamW(weight_decay=0.0)
+    params = np.array([-0.0, 1.0])
+    opt.commit_step(params, 0.1, opt.compute_direction(params, np.zeros(2)))
+    assert np.signbit(params[0]) and params[1] == 1.0
+
+
 def test_compute_direction_is_pure():
     opt = Momentum(mu=0.9)
     params = np.array([1.0, 2.0])
@@ -190,6 +198,8 @@ def test_snapshot_shape_mismatch():
 
 
 def test_momentum_buffer_shape_mismatch():
+    # A velocity has the parameters' shape, so the parameter-shape check rejects the restore
+    # before anything is written.
     opt = Momentum(mu=0.9)
     theta = np.zeros(3)
     opt.commit_step(theta, 0.1, opt.compute_direction(theta, np.ones(3)))
@@ -197,8 +207,18 @@ def test_momentum_buffer_shape_mismatch():
     other = Momentum(mu=0.9)
     wider = np.zeros(4)
     other.commit_step(wider, 0.1, other.compute_direction(wider, np.ones(4)))
-    with pytest.raises(QuadtuneError, match="buffer 'velocity' shape mismatch"):
-        other.load_state_dict(snap.opt_state)
+    before = wider.tobytes(), other.velocity.tobytes()
+    with pytest.raises(QuadtuneError, match="snapshot parameter shape does not match the model"):
+        restore_snapshot(snap, wider, other)
+    assert (wider.tobytes(), other.velocity.tobytes()) == before
+
+
+def test_a_snapshot_restores_only_its_own_optimizer_kind():
+    theta = np.zeros(3)
+    snap = take_snapshot(theta, Adam(), lr=0.1, step_index=0)
+    for other in (AdamW(), Momentum(), Sgd()):
+        with pytest.raises(QuadtuneError, match=f"snapshot for Adam cannot restore a {type(other).__name__}"):
+            restore_snapshot(snap, theta, other)
 
 
 def test_sgd_monotone_on_bowl_below_stability():

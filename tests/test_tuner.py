@@ -282,6 +282,18 @@ class TestRecompute:
         assert not math.isfinite(probe.loss_at_zero)
         assert probe.samples == [] and probe.fit is None
 
+    def test_fewer_than_three_finite_probes_propose_no_minimum(self, monkeypatch):
+        # Only the loss at eta is finite: one sample remains, too few for a fit.
+        tuner, engine, model = bowl_tuner(seed_lr=0.05, window=5)
+        measure = engine.perturbed_loss
+        monkeypatch.setattr(engine, "perturbed_loss",
+                            lambda direction, step, sb: measure(direction, step, sb) if step == 0.05 else math.nan)
+        probe = tuner.recompute(0, model.gradient(), rate_before=1.0)
+        assert probe.bound > 0.0 and len(probe.samples) == 1 and probe.fit is None
+        assert probe.proposal == probe.filtered == EpsilonProposal(ProposalKind.REJECT_NO_MINIMUM)
+        assert probe.event == EVENT_REJECT_OTHER and probe.applied_epsilon is None
+        assert tuner.state.current_lr == 0.05 and tuner.state.last_change_snapshot is None
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowed_probe_counts_no_forward_passes(self):
         # At eta 1.15 the perturbed bias stays finite, so the loss at eta is
