@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import json
 import math
@@ -57,14 +58,28 @@ def _positive_list(text: str, kind: type, flag: str) -> list:
     return values
 
 
+def _check_out_dir(path: str) -> None:
+    """Raise OSError unless ``path`` is a writable directory or can be made one; creates nothing."""
+    existing = os.path.abspath(path)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise NotADirectoryError(errno.ENOTDIR, "output directory is at or below a file", existing)
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, "output directory cannot be written", existing)
+
+
 def _load_config(args) -> RunConfig:
-    """The --config file with --out and --seed in place of its keys, checked as one config."""
+    """The --config file with --out and --seed in place of its keys, checked as one config,
+    and its output directory checked before anything is built."""
     overrides = {}
     if args.out:
         overrides["out_dir"] = args.out
     if args.seed is not None:
         overrides["seeds"] = [args.seed]
-    return RunConfig.from_json_file(args.config, **overrides)
+    cfg = RunConfig.from_json_file(args.config, **overrides)
+    _check_out_dir(cfg.out_dir)
+    return cfg
 
 
 def _run_and_write(cfg: RunConfig) -> dict:
@@ -96,6 +111,8 @@ def cmd_sweep(args) -> int:
     clash = next((name for name in names if names.count(name) > 1), None)
     if clash is not None:
         raise InvalidArgumentError(f"--values must differ in their first 6 significant digits; two of them write {clash}")
+    for name in names:
+        _check_out_dir(os.path.join(cfg.out_dir, name))
 
     rows = []
     for value, name in zip(values, names):
@@ -182,13 +199,9 @@ def cmd_quadcheck(args) -> int:
         rows,
     )
 
-    proposal = propose_epsilon(fit, probe.bound)
-    if proposal.epsilon is not None:
-        eps_min = proposal.epsilon
-        true_at_min = engine.perturbed_loss(direction, eta + eps_min, sb)
-        print(
-            f"quad_min: epsilon={eps_min!r} predicted={fit.predict(eps_min)!r} measured={true_at_min!r}"
-        )
+    eps_min = propose_epsilon(fit, probe.bound).epsilon
+    true_at_min = engine.perturbed_loss(direction, eta + eps_min, sb)
+    print(f"quad_min: epsilon={eps_min!r} predicted={fit.predict(eps_min)!r} measured={true_at_min!r}")
     if not args.quiet:
         print(f"wrote {os.path.join(cfg.out_dir, 'quadcheck.csv')}")
     return 0

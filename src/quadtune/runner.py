@@ -143,6 +143,8 @@ def schedule_from_policy(policy: dict[str, Any], batches_per_epoch: int) -> Sche
     """ScheduleSpec from a schedule lr_policy; epoch keys are rounded to whole steps."""
     factory, args = policy_args(policy)
     if "warmup_epochs" in policy:
+        if args["warmup_steps"] < 0:  # a small negative count of epochs rounds to 0 steps
+            raise InvalidArgumentError("warmup_epochs must be nonnegative")
         args["warmup_steps"] = round(args["warmup_steps"] * batches_per_epoch)
     if "boundaries_epochs" in policy:
         args["boundaries"] = tuple(round(b * batches_per_epoch) for b in args["boundaries"])

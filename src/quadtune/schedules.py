@@ -19,9 +19,22 @@ RANGE_TEST_EXPLOSION_FACTOR = 4.0
 RANGE_TEST_SUGGESTION_DIV = 10.0
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not value > 0.0:
+        raise InvalidArgumentError(f"{name} must be positive")
+
+
+def _check_fractions(kind: str, *fracs: float) -> None:
+    if min(fracs) < 0.0 or abs(sum(fracs) - 1.0) > _FRACTION_TOL:
+        raise InvalidArgumentError(f"{kind} fractions must be nonnegative and sum to 1")
+
+
 @dataclass(frozen=True)
 class Constant:
     lr: float
+
+    def __post_init__(self):
+        _check_positive("lr", self.lr)
 
 
 @dataclass(frozen=True)
@@ -41,15 +54,24 @@ class StepSchedule:
 
 
 @dataclass(frozen=True)
-class CosineDecay:
+class _Decay:
+    """Linear warmup to seed_lr, then a decay to zero at the end of the run."""
+
     seed_lr: float
     warmup_steps: int = 0
 
+    def __post_init__(self):
+        _check_positive("seed_lr", self.seed_lr)
+        if self.warmup_steps < 0:
+            raise InvalidArgumentError("warmup_steps must be nonnegative")
 
-@dataclass(frozen=True)
-class LinearDecay:
-    seed_lr: float
-    warmup_steps: int = 0
+
+class CosineDecay(_Decay):
+    """Half a cosine from seed_lr down to zero."""
+
+
+class LinearDecay(_Decay):
+    """A straight line from seed_lr down to zero."""
 
 
 @dataclass(frozen=True)
@@ -59,6 +81,7 @@ class InverseSqrt:
     floor_lr: float = 0.0
 
     def __post_init__(self):
+        _check_positive("peak_lr", self.peak_lr)
         if self.warmup_steps < 1:
             raise InvalidArgumentError("inverse-sqrt decay requires warmup_steps >= 1")
 
@@ -76,12 +99,13 @@ class OneCycle:
     momentum_range: Optional[tuple[float, float]] = None  # (max_momentum, min_momentum)
 
     def __post_init__(self):
-        if abs(self.up_frac + self.down_frac + self.final_frac - 1.0) > _FRACTION_TOL:
-            raise InvalidArgumentError("one-cycle fractions must sum to 1")
+        _check_positive("max_lr", self.max_lr)
+        _check_fractions("one-cycle", self.up_frac, self.down_frac, self.final_frac)
         if not (self.div_factor > 0.0 and self.final_div > 0.0):
             raise InvalidArgumentError("one-cycle div_factor and final_div must be positive")
-        if self.momentum_range is not None and len(self.momentum_range) != 2:
-            raise InvalidArgumentError("momentum_range must be (max_momentum, min_momentum)")
+        mr = self.momentum_range
+        if mr is not None and (len(mr) != 2 or not all(0.0 <= m < 1.0 for m in mr)):
+            raise InvalidArgumentError("momentum_range must be (max_momentum, min_momentum), each in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -94,8 +118,8 @@ class Trapezoid:
     decay_frac: float = 0.10
 
     def __post_init__(self):
-        if abs(self.warm_frac + self.flat_frac + self.decay_frac - 1.0) > _FRACTION_TOL:
-            raise InvalidArgumentError("trapezoid fractions must sum to 1")
+        _check_positive("max_lr", self.max_lr)
+        _check_fractions("trapezoid", self.warm_frac, self.flat_frac, self.decay_frac)
 
 
 ScheduleSpec = Union[Constant, StepSchedule, CosineDecay, LinearDecay, InverseSqrt, OneCycle, Trapezoid]

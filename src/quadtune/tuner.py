@@ -287,38 +287,18 @@ class LearningRateTuner:
         self._window: Optional[_Window] = None
         self._last_rate: Optional[float] = None
 
-    # -- window bookkeeping ----------------------------------------------------
-
-    def _open_window(self, step: int) -> float:
-        """The start loss of a window on a freshly drawn superbatch."""
-        sb = self.engine.draw_superbatch(self.cfg.superbatch_size)
-        self._window = _Window(sb, self.engine.superbatch_loss(sb), step)
-        return self._window.start_loss
-
-    def _close_window(self, step: int) -> tuple[float, float]:
-        """The window's drop rate, and its end loss, measured on the rows its start was."""
-        window = self._window
-        loss = self.engine.superbatch_loss(window.superbatch)
-        return drop_rate(window.start_loss, loss, step - window.start_step), loss
-
     # -- rollback ----------------------------------------------------------------
 
     def maybe_rollback(self, rate_after: float) -> bool:
-        """Revert the last accepted lr change if it degraded the drop rate."""
+        """End the review of the last accepted lr change, reverting it if it degraded the drop rate."""
         st = self.state
-        if st.last_change_snapshot is None or st.drop_rate_before_change is None:
+        snap, rate_before = st.last_change_snapshot, st.drop_rate_before_change
+        st.last_change_snapshot = st.drop_rate_before_change = None
+        if snap is None or rate_before is None or rate_after >= self.cfg.rollback_factor * rate_before:
             return False
-        if rate_after >= self.cfg.rollback_factor * st.drop_rate_before_change:
-            return False
-        snap = st.last_change_snapshot
         restore_snapshot(snap, self.engine.model.params, self.optimizer)
         self.engine.restore_data_state(snap.rng_cursor)
         st.current_lr = snap.lr
-        st.last_change_snapshot = None
-        st.drop_rate_before_change = None
-        # Remeasure the reference rate at the restored lr before gating again.
-        if st.saturation.mode is SaturationMode.RELATIVE:
-            st.saturation = replace(st.saturation, reference_rate=None)
         return True
 
     # -- the probe round -----------------------------------------------------------
@@ -371,21 +351,17 @@ class LearningRateTuner:
         events: list[str] = []
         closing = step % cfg.recompute_window == 0 and self._window is not None
         rate = saturated = probe = window_loss = None
-        rolled_back = False
 
         passes = self.engine.forward_passes
         if closing:
             window = self._window
-            rate, window_loss = self._close_window(step)
+            window_loss = self.engine.superbatch_loss(window.superbatch)
+            rate = drop_rate(window.start_loss, window_loss, step - window.start_step)
             if self.maybe_rollback(rate):
                 events.append(EVENT_ROLLBACK)
-                rolled_back = True
                 # The restored params are this window's opening ones.
                 window_loss = window.start_loss
             else:
-                # A change under review survived its one-shot review.
-                st.last_change_snapshot = None
-                st.drop_rate_before_change = None
                 self._last_rate = rate
                 if st.saturation.reference_rate is None:
                     st.saturation = replace(st.saturation, reference_rate=rate)
@@ -400,7 +376,7 @@ class LearningRateTuner:
         train_loss, grads = self.engine.loss_and_gradient(x, y)
         pending = self.optimizer.compute_direction(self.engine.model.params, grads)
 
-        if closing and not rolled_back:
+        if closing and EVENT_ROLLBACK not in events:
             if st.phase is Phase.EXPLOIT:
                 saturated, st.saturation = saturation_check(st.saturation, self._last_rate, cfg)
                 if not saturated:
@@ -410,7 +386,9 @@ class LearningRateTuner:
                 events.append(probe.event)
 
         if self._window is None:
-            window_loss = self._open_window(step)
+            sb = self.engine.draw_superbatch(cfg.superbatch_size)
+            window_loss = self.engine.superbatch_loss(sb)
+            self._window = _Window(sb, window_loss, step)
 
         self.engine.commit(self.optimizer, pending, st.current_lr)
         # The step's forward passes, less its training forward and its probe round's.

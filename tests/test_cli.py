@@ -371,6 +371,72 @@ def test_every_command_rejects_an_unknown_key(tmp_path, capsys, command):
     assert not os.path.exists(raw["out_dir"])
 
 
+# Schedule settings out of range; each used to train, or to fail only at its first commit.
+OUT_OF_RANGE = [
+    pytest.param(dict(ONE_CYCLE, momentum_range=[1.5, 0.5]), id="one_cycle-momentum-1.5"),
+    pytest.param(dict(ONE_CYCLE, up_frac=-0.1, down_frac=0.55, final_frac=0.55), id="one_cycle-up_frac-negative"),
+    pytest.param(dict(ONE_CYCLE, max_lr=-1.0), id="one_cycle-max_lr-negative"),
+    pytest.param(dict(COSINE, warmup_steps=-5), id="cosine-warmup_steps-negative"),
+    pytest.param(dict(COSINE, warmup_epochs=-0.01), id="cosine-warmup_epochs-negative"),
+    pytest.param(dict(COSINE, seed_lr=0.0), id="cosine-seed_lr-zero"),
+    pytest.param(dict(COSINE, variant="linear", warmup_epochs=-1.0), id="linear-warmup_epochs-negative"),
+    pytest.param({"kind": "schedule", "variant": "inverse_sqrt", "peak_lr": 0.0}, id="inverse_sqrt-peak_lr-zero"),
+    pytest.param({"kind": "schedule", "variant": "trapezoid", "max_lr": 0.1, "warm_frac": -0.1, "flat_frac": 1.0},
+                 id="trapezoid-warm_frac-negative"),
+    pytest.param({"kind": "schedule", "variant": "trapezoid", "max_lr": 0.0}, id="trapezoid-max_lr-zero"),
+    pytest.param({"kind": "schedule", "variant": "constant", "lr": -1.0}, id="constant-lr-negative"),
+]
+
+
+@pytest.mark.parametrize("command", [
+    ["train"],
+    ["range-test", "--lr-min", "0.01", "--lr-max", "0.1"],
+    ["sb-scan", "--sizes", "1"],
+    ["quadcheck", "--at-step", "3"],
+], ids=lambda command: command[0])
+@pytest.mark.parametrize("policy", OUT_OF_RANGE)
+def test_a_schedule_out_of_range_exits_1_before_the_first_step(tmp_path, capsys, monkeypatch, command, policy):
+    monkeypatch.setattr(TrainingRun, "step_once", lambda run: pytest.fail("a step was taken"))
+    raw = tuner_raw(tmp_path, lr_policy=policy)
+    path = write_config(tmp_path, raw)
+    assert main([command[0], "--config", path, *command[1:], "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert not os.path.exists(raw["out_dir"])
+
+
+@pytest.mark.parametrize("command,below", [
+    (["train"], ""),
+    (["sweep", "--values", "0.1,0.2"], ""),
+    (["sweep", "--values", "0.1,0.2"], "seed_lr_0.2"),  # the second value's directory is a file
+    (["range-test", "--lr-min", "0.01", "--lr-max", "0.1"], ""),
+    (["sb-scan", "--sizes", "1"], ""),
+    (["quadcheck", "--at-step", "3"], ""),
+], ids=lambda value: value[0] if isinstance(value, list) else value)
+def test_an_unwritable_out_dir_exits_2_before_anything_is_built(tmp_path, capsys, monkeypatch, command, below):
+    monkeypatch.setattr(TrainingRun, "__init__", lambda *args: pytest.fail("a run was built"))
+    blocker = tmp_path / "out" / below if below else tmp_path / "file"
+    blocker.parent.mkdir(exist_ok=True)
+    blocker.write_text("")
+    out_dir = tmp_path / "out" if below else blocker / "out"
+    path = write_config(tmp_path, tuner_raw(tmp_path, out_dir=str(out_dir)))
+    assert main([command[0], "--config", path, *command[1:], "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("io error: [Errno 20]") and str(blocker) in err
+    assert sorted(os.listdir(tmp_path)) == (["cfg.json", "out"] if below else ["cfg.json", "file"])
+    if below:
+        assert os.listdir(tmp_path / "out") == [below]
+
+
+def test_an_out_dir_without_write_permission_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(TrainingRun, "__init__", lambda *args: pytest.fail("a run was built"))
+    monkeypatch.setattr(os, "access", lambda path, mode: path != str(tmp_path))  # root may write anywhere
+    raw = tuner_raw(tmp_path)
+    assert main(["train", "--config", write_config(tmp_path, raw), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("io error: [Errno 13]")
+    assert not os.path.exists(raw["out_dir"])
+
+
 def _run_module(*args):
     """A fresh `python -m quadtune.cli` process on args, importing this tree's package."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

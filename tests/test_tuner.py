@@ -348,19 +348,27 @@ class TestRollback:
         assert tuner.state.counters.rollbacks == 0
 
     def test_maybe_rollback_requires_degraded_rate(self):
+        # A review ends at its first verdict, so each rate gets a fresh change to review.
         tuner, engine, model = bowl_tuner(seed_lr=0.01, window=5)
         from quadtune.optim import take_snapshot
 
         st = tuner.state
-        st.last_change_snapshot = take_snapshot(
-            model.params, tuner.optimizer, lr=0.01, step_index=0,
-            rng_cursor=engine.data_state(),
-        )
-        st.drop_rate_before_change = 0.2
-        assert tuner.maybe_rollback(0.2) is False   # unchanged rate: healthy
-        assert tuner.maybe_rollback(0.11) is False  # above 0.5x: healthy
-        assert tuner.maybe_rollback(0.09) is True   # below 0.5x: reverted
-        assert tuner.state.last_change_snapshot is None
+
+        def review(rate_after):
+            st.last_change_snapshot = take_snapshot(
+                model.params, tuner.optimizer, lr=0.01, step_index=0,
+                rng_cursor=engine.data_state(),
+            )
+            st.drop_rate_before_change = 0.2
+            st.current_lr = 0.02  # the change under review
+            rolled_back = tuner.maybe_rollback(rate_after)
+            assert st.last_change_snapshot is None and st.drop_rate_before_change is None
+            assert st.current_lr == (0.01 if rolled_back else 0.02)
+            return rolled_back
+
+        assert review(0.2) is False   # unchanged rate: healthy
+        assert review(0.11) is False  # above 0.5x: healthy
+        assert review(0.09) is True   # below 0.5x: reverted
 
     def test_rollback_disabled_never_triggers(self):
         tuner, engine, model = bowl_tuner(seed_lr=0.01, window=5, explore=0.9,
@@ -374,6 +382,31 @@ class TestRollback:
     def test_maybe_rollback_without_snapshot_is_noop(self):
         tuner, _, _ = bowl_tuner()
         assert tuner.maybe_rollback(-1.0) is False
+
+
+class TestReviewAndReference:
+    # Step 5 closes a window and accepts an increase; step 7 starts the exploit
+    # phase, so the close at step 10 reviews that change, keeps it, and rejects
+    # on saturation, since its rate is the new reference.
+    def run_to_the_review(self):
+        tuner, engine, _ = bowl_tuner(seed_lr=0.01, window=5, explore=7)
+        outcomes = drive(tuner, engine, 10)
+        assert EVENT_ACCEPT in outcomes[5].events and outcomes[5].rate is not None
+        return tuner, outcomes[5], lambda: tuner.run_step(10, *engine.batch_for_step(10))
+
+    def test_an_accept_unsets_the_relative_reference_until_the_next_kept_close(self):
+        tuner, _, review = self.run_to_the_review()
+        assert tuner.state.saturation == SaturationState(SaturationMode.RELATIVE, reference_rate=None)
+        close = review()
+        assert EVENT_ROLLBACK not in close.events and close.rate is not None
+        assert tuner.state.saturation == SaturationState(SaturationMode.RELATIVE, reference_rate=close.rate)
+
+    def test_a_kept_close_leaves_no_review_pending(self):
+        tuner, accept, review = self.run_to_the_review()
+        assert tuner.state.last_change_snapshot is not None
+        assert tuner.state.drop_rate_before_change == accept.rate
+        assert review().events == [EVENT_REJECT_SATURATION]
+        assert tuner.state.last_change_snapshot is None and tuner.state.drop_rate_before_change is None
 
 
 def drive_range(tuner, engine, start, stop):
@@ -500,32 +533,37 @@ def test_reused_window_losses_equal_fresh_ones():
         cfg = TunerConfig(seed_lr=seed_lr, total_steps=total, explore_budget=0.5, recompute_window=window,
                           superbatch_size=sb, n_probes=3, epsilon_threshold_r=r)
         tuner = LearningRateTuner(cfg, engine, Momentum(0.9))
-        close_window, commit = tuner._close_window, engine.commit
-        rows = []
+        superbatch_loss, commit = engine.superbatch_loss, engine.commit
+        rows, drawn, measured = [], [], []
 
         def fresh():
             """The loss of the rows drawn at step 0, at the current params, counted nowhere."""
             x, y = (np.concatenate(part) for part in zip(*rows))
             return engine.model.loss(x, y)
 
-        def spy_close(step):
-            rate, end_loss = close_window(step)
-            assert end_loss == fresh()
-            return rate, end_loss
+        def spy_superbatch_loss(sb):
+            # The first call opens the first window; a probe's calls measure other superbatches.
+            if not drawn:
+                drawn.append(sb)
+                rows.extend(engine.minibatch(i) for i in sb.minibatch_indices)
+            loss = superbatch_loss(sb)
+            if sb is drawn[0]:
+                assert loss == fresh()
+                measured.append(loss)
+            return loss
 
         def spy_commit(*args):
             window = tuner._window
             if window.start_step == step:  # the window opened at this step, at these params
-                if step == 0:
-                    rows.extend(engine.minibatch(i) for i in window.superbatch.minibatch_indices)
                 assert window.start_loss == fresh()
             commit(*args)
 
-        tuner._close_window, engine.commit = spy_close, spy_commit
+        engine.superbatch_loss, engine.commit = spy_superbatch_loss, spy_commit
         closes = 0
         with np.errstate(over="ignore", invalid="ignore"):
             for step in range(total):
                 closes += tuner.run_step(step, *engine.batch_for_step(step)).rate is not None
+        assert len(measured) == 1 + closes
         assert tuner.state.counters.window_forward_passes == sb * (1 + closes)
 
     check()

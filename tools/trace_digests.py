@@ -1,0 +1,88 @@
+"""Print a sha256 line for every trace and per-seed summary of the reference runs.
+
+Runs `quadtune train` on perfbench's four workload configs at each given
+workload seed, and on `configs/blobs_tuner.json`, then prints one line per
+`trace_seed*.csv` and one per `per_seed` block of each `summary.json`:
+
+    python3 tools/trace_digests.py --seeds 11-13 > digests.txt
+
+`--root` picks the checkout whose `src/` is trained (default: this one), so
+one copy of this script can check two trees; equal output means equal bits:
+
+    python3 tools/trace_digests.py --seeds 11-13 --root ../parent > parent.txt
+    python3 tools/trace_digests.py --seeds 11-13 > change.txt
+    diff parent.txt change.txt
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+
+from perfbench.workloads import WORKLOADS  # noqa: E402
+
+
+def parse_seeds(text: str) -> list[int]:
+    """Workload seeds as a range `11-13`, a list `11,12` or both: `1-3,7`."""
+    seeds = []
+    for part in text.split(","):
+        first, _, last = part.partition("-")
+        seeds.extend(range(int(first), int(last or first) + 1))
+    return seeds
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def train(root: Path, config: dict, out_dir: Path) -> None:
+    """`quadtune train` on ``config`` from ``root``'s `src/`, in a fresh process."""
+    out_dir.mkdir(parents=True)
+    config_path = out_dir / "config.json"
+    config_path.write_text(json.dumps(dict(config, out_dir=str(out_dir))), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    subprocess.run([sys.executable, "-m", "quadtune.cli", "train", "--config", str(config_path), "--quiet"],
+                   env=env, check=True)
+
+
+def digests(label: str, out_dir: Path) -> list[str]:
+    """One line per trace file and per `per_seed` block; the config's `out_dir` is left out."""
+    lines = [f"{sha256(path.read_bytes())}  {label}/{path.name}"
+             for path in sorted(out_dir.glob("trace_seed*.csv"))]
+    summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+    for block in summary["per_seed"]:
+        text = json.dumps(block, sort_keys=True).encode()
+        lines.append(f"{sha256(text)}  {label}/per_seed[{block['seed']}]")
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--seeds", default="11-13", help="workload seeds, e.g. 11-13 or 11,12 (default 11-13)")
+    parser.add_argument("--root", type=Path, default=ROOT, help="checkout whose src/ is trained (default: this one)")
+    args = parser.parse_args(argv)
+    root = args.root.resolve()
+
+    runs = [(f"{name}/{seed}", workload.config(seed, "")) for seed in parse_seeds(args.seeds)
+            for name, workload in WORKLOADS.items()]
+    blobs = json.loads((ROOT / "configs" / "blobs_tuner.json").read_text(encoding="utf-8"))
+    runs.append(("blobs_tuner", blobs))
+    with tempfile.TemporaryDirectory(prefix="trace_digests_") as tmp:
+        for i, (label, config) in enumerate(runs):
+            out_dir = Path(tmp) / str(i)
+            train(root, config, out_dir)
+            print("\n".join(digests(label, out_dir)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
