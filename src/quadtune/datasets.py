@@ -79,6 +79,8 @@ def make_blobs(n: int = 1000, k: int = 2, sep: float = 5.0, dim: int = 2, seed: 
     """k Gaussian clusters (unit variance) with pairwise center distance sep."""
     if n <= 0 or k < 2 or dim < 1:
         raise InvalidArgumentError("blobs require n > 0, k >= 2, dim >= 1")
+    if k > 2 and dim < 2:
+        raise InvalidArgumentError("blobs with k >= 3 place their centers on a circle and need dim >= 2")
     rng = seeded_stream(seed, "blobs")
     if k == 2:
         centers = np.zeros((2, dim))
@@ -89,7 +91,7 @@ def make_blobs(n: int = 1000, k: int = 2, sep: float = 5.0, dim: int = 2, seed: 
         angles = 2.0 * np.pi * np.arange(k) / k
         centers = np.zeros((k, dim))
         centers[:, 0] = radius * np.cos(angles)
-        centers[:, 1] = radius * np.sin(angles) if dim > 1 else 0.0
+        centers[:, 1] = radius * np.sin(angles)
     labels = rng.integers(0, k, size=n)
     x = centers[labels] + rng.normal(size=(n, dim))
     return _split(x, labels.astype(np.int64), TASK_CLASSIFICATION, num_classes=k)

@@ -36,17 +36,16 @@ class Superbatch:
 
 def _check_pairing(model: Model, dataset: Dataset) -> None:
     """The dataset decides the task: the model must train it. A classification dataset
-    needs at least 2 classes, and an Mlp one output per class, or one for regression."""
+    needs at least 2 classes, and an Mlp one output per class (a regression Mlp has one)."""
     name = type(model).__name__
     if model.task != dataset.task:
         raise InvalidArgumentError(f"{name} model trains {model.task}, not its dataset's task {dataset.task}")
-    outputs = 1
     if dataset.task == TASK_CLASSIFICATION:
         outputs = dataset.num_classes or 0
         if outputs < 2:
             raise InvalidArgumentError(f"a classification dataset needs at least 2 classes, not {dataset.num_classes}")
-    if isinstance(model, Mlp) and model.layer_sizes[-1] != outputs:
-        raise InvalidArgumentError(f"{name} model has {model.layer_sizes[-1]} outputs, its dataset needs {outputs}")
+        if isinstance(model, Mlp) and model.layer_sizes[-1] != outputs:
+            raise InvalidArgumentError(f"{name} model has {model.layer_sizes[-1]} outputs, its dataset needs {outputs}")
 
 
 class TrainingEngine:

@@ -136,6 +136,8 @@ class Mlp(Model):
             raise InvalidArgumentError(f"layer_sizes needs input and output widths, each at least 1, not {layer_sizes}")
         if task not in (TASK_CLASSIFICATION, TASK_REGRESSION):
             raise InvalidArgumentError(f"unsupported task {task!r}")
+        if task == TASK_REGRESSION and layer_sizes[-1] != 1:
+            raise InvalidArgumentError(f"a regression Mlp has exactly one output, not {layer_sizes[-1]}")
         self.layer_sizes = list(layer_sizes)
         self.task = task
         n = sum(layer_sizes[i] * layer_sizes[i + 1] + layer_sizes[i + 1] for i in range(len(layer_sizes) - 1))
@@ -257,7 +259,7 @@ class Mlp(Model):
     def _predictions(self, out):
         if self.task == TASK_CLASSIFICATION:
             return out.argmax(axis=1)
-        return out[:, 0] if out.ndim == 2 and out.shape[1] == 1 else out
+        return out[:, 0]
 
     def predict(self, x):
         return self._predictions(self.logits(x))

@@ -77,12 +77,13 @@ class Optimizer:
             raise InvalidArgumentError("lr must be positive")
         if pending.token != self.step_count:
             raise QuadtuneError("pending step does not match the optimizer's committed state")
-        self._committed_update(params, lr, pending)
+        # Decoupled decay reads the pre-step params; a zero decay would turn a -0.0 parameter into +0.0.
+        decay = lr * self.weight_decay * params if self.decoupled_decay and self.weight_decay else None
+        params -= lr * pending.direction
+        if decay is not None:
+            params -= decay
         vars(self).update(pending.payload)
         self.step_count += 1
-
-    def _committed_update(self, params: np.ndarray, lr: float, pending: PendingStep) -> None:
-        params -= lr * pending.direction
 
     def _direction(self, params: np.ndarray, grads: np.ndarray) -> tuple[np.ndarray, dict]:
         raise NotImplementedError
@@ -150,13 +151,6 @@ class AdamW(Adam):
     """Adam with decoupled weight decay applied at commit time, not in d."""
 
     decoupled_decay = True
-
-    def _committed_update(self, params, lr, pending):
-        if not self.weight_decay:  # a zero decay would turn a -0.0 parameter into +0.0
-            return super()._committed_update(params, lr, pending)
-        decay = lr * self.weight_decay * params  # reads the pre-step params
-        super()._committed_update(params, lr, pending)
-        params -= decay
 
 
 def take_snapshot(

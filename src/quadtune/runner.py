@@ -139,8 +139,11 @@ def tuner_config_from_policy(policy: dict[str, Any], total_steps: int, batches_p
     return TunerConfig(total_steps=total_steps, **args)
 
 
-def schedule_from_policy(policy: dict[str, Any], batches_per_epoch: int) -> ScheduleSpec:
-    """ScheduleSpec from a schedule lr_policy; epoch keys are rounded to whole steps."""
+def schedule_from_policy(policy: dict[str, Any], total_steps: int, batches_per_epoch: int) -> ScheduleSpec:
+    """ScheduleSpec from a schedule lr_policy; epoch keys are rounded to whole steps.
+
+    Every step boundary must lie inside the run, after step 0 and before ``total_steps``.
+    """
     factory, args = policy_args(policy)
     if "warmup_epochs" in policy:
         if args["warmup_steps"] < 0:  # a small negative count of epochs rounds to 0 steps
@@ -148,6 +151,8 @@ def schedule_from_policy(policy: dict[str, Any], batches_per_epoch: int) -> Sche
         args["warmup_steps"] = round(args["warmup_steps"] * batches_per_epoch)
     if "boundaries_epochs" in policy:
         args["boundaries"] = tuple(round(b * batches_per_epoch) for b in args["boundaries"])
+    if not all(0 < b < total_steps for b in args.get("boundaries", ())):
+        raise InvalidArgumentError(f"step boundaries must lie inside the run: above 0 and below its {total_steps} steps")
     return factory(**args)
 
 
@@ -178,7 +183,7 @@ class TrainingRun:
             tuner_cfg = tuner_config_from_policy(policy, self.total_steps, self.engine.batches_per_epoch)
             self.tuner = LearningRateTuner(tuner_cfg, self.engine, self.optimizer)
         else:
-            self.schedule = schedule_from_policy(policy, self.engine.batches_per_epoch)
+            self.schedule = schedule_from_policy(policy, self.total_steps, self.engine.batches_per_epoch)
 
         self.records: list[RunRecord] = []
         self._step = 0

@@ -130,6 +130,15 @@ def _warmup_lr(step: int, warmup_steps: int, peak: float) -> float:
     return peak * (step + 1) / warmup_steps
 
 
+def _cycle(spec: OneCycle, p: float, start: float, peak: float, end: float) -> float:
+    """One-cycle's linear segments at run fraction p: start -> peak, peak -> start, start -> end."""
+    if p < spec.up_frac:
+        return start + (peak - start) * (p / spec.up_frac)
+    if p < spec.up_frac + spec.down_frac:
+        return peak - (peak - start) * ((p - spec.up_frac) / spec.down_frac)
+    return start - (start - end) * ((p - spec.up_frac - spec.down_frac) / spec.final_frac)
+
+
 def lr_at(spec: ScheduleSpec, step: int, total_steps: int) -> float:
     """Closed-form learning rate at a step index in [0, total_steps)."""
     if not 0 <= step < total_steps:
@@ -156,16 +165,8 @@ def lr_at(spec: ScheduleSpec, step: int, total_steps: int) -> float:
         return max(spec.peak_lr * math.sqrt(spec.warmup_steps / step), spec.floor_lr)
 
     if isinstance(spec, OneCycle):
-        p = step / total_steps
         start = spec.max_lr / spec.div_factor
-        if p < spec.up_frac:
-            return start + (spec.max_lr - start) * (p / spec.up_frac)
-        if p < spec.up_frac + spec.down_frac:
-            t = (p - spec.up_frac) / spec.down_frac
-            return spec.max_lr - (spec.max_lr - start) * t
-        t = (p - spec.up_frac - spec.down_frac) / spec.final_frac
-        end = start / spec.final_div
-        return start - (start - end) * t
+        return _cycle(spec, step / total_steps, start, spec.max_lr, start / spec.final_div)
 
     if isinstance(spec, Trapezoid):
         warm_steps = max(1, round(spec.warm_frac * total_steps))
@@ -184,13 +185,7 @@ def momentum_at(spec: ScheduleSpec, step: int, total_steps: int) -> Optional[flo
     if not isinstance(spec, OneCycle) or spec.momentum_range is None:
         return None
     max_m, min_m = spec.momentum_range
-    p = step / total_steps
-    if p < spec.up_frac:
-        return max_m - (max_m - min_m) * (p / spec.up_frac)
-    if p < spec.up_frac + spec.down_frac:
-        t = (p - spec.up_frac) / spec.down_frac
-        return min_m + (max_m - min_m) * t
-    return max_m
+    return _cycle(spec, step / total_steps, max_m, min_m, max_m)
 
 
 @dataclass

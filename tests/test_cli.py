@@ -303,6 +303,8 @@ COSINE = {"kind": "schedule", "variant": "cosine", "seed_lr": 0.1}
 
 ONE_CYCLE = {"kind": "schedule", "variant": "one_cycle", "max_lr": 0.1, "momentum_range": [0.95, 0.85]}
 
+STEP = {"kind": "schedule", "variant": "step", "lrs": [0.1, 0.01]}
+
 # (family updated, or None for the top level; the update). Each one used to
 # train on defaults and exit 0, or to end in a KeyError, ValueError or
 # ZeroDivisionError traceback, or in a runtime error.
@@ -385,6 +387,11 @@ OUT_OF_RANGE = [
                  id="trapezoid-warm_frac-negative"),
     pytest.param({"kind": "schedule", "variant": "trapezoid", "max_lr": 0.0}, id="trapezoid-max_lr-zero"),
     pytest.param({"kind": "schedule", "variant": "constant", "lr": -1.0}, id="constant-lr-negative"),
+    # tuner_raw trains 480 moons rows in 15 minibatches per epoch for 4 epochs: 60 steps.
+    pytest.param(dict(STEP, boundaries=[0]), id="step-boundary-0"),
+    pytest.param(dict(STEP, boundaries=[-5]), id="step-boundary-negative"),
+    pytest.param(dict(STEP, boundaries=[60]), id="step-boundary-total_steps"),
+    pytest.param(dict(STEP, boundaries_epochs=[0.01]), id="step-boundaries_epochs-rounds-to-0"),
 ]
 
 
@@ -403,6 +410,15 @@ def test_a_schedule_out_of_range_exits_1_before_the_first_step(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "Traceback" not in err
     assert not os.path.exists(raw["out_dir"])
+
+
+def test_step_boundaries_inside_the_run_train(tmp_path):
+    # A 60-step run takes boundaries from 1 to 59: each lr is used for at least one step.
+    raw = tuner_raw(tmp_path, lr_policy=dict(STEP, boundaries=[1, 59], lrs=[0.1, 0.05, 0.01]))
+    assert main(["train", "--config", write_config(tmp_path, raw), "--quiet"]) == 0
+    with open(os.path.join(raw["out_dir"], "trace_seed1.csv")) as f:
+        lrs = [float(row["lr"]) for row in csv.DictReader(f)]
+    assert lrs == [0.1] + [0.05] * 58 + [0.01]
 
 
 @pytest.mark.parametrize("command,below", [

@@ -39,6 +39,19 @@ def test_blobs_center_separation():
     assert np.linalg.norm(mean1 - mean0) == pytest.approx(5.0, abs=0.3)
 
 
+def test_blobs_on_a_circle_need_two_dimensions(tmp_path, capsys):
+    # Three or more centers lie on a circle in the first two coordinates; two lie on the first axis.
+    assert make_blobs(n=100, k=2, dim=1, seed=0).train_x.shape == (80, 1)
+    raw = {"dataset": {"kind": "blobs", "n": 100, "k": 3, "dim": 1}, "model": {"kind": "logreg"},
+           "optimizer": {"kind": "sgd"}, "lr_policy": {"kind": "schedule", "variant": "constant", "lr": 0.1},
+           "epochs": 1, "seeds": [1], "out_dir": str(tmp_path / "out")}
+    (tmp_path / "cfg.json").write_text(json.dumps(raw))
+    assert main(["train", "--config", str(tmp_path / "cfg.json"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "need dim >= 2" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_moons_two_classes_balanced():
     ds = make_moons(n=1000, noise=0.1, seed=2)
     labels = np.concatenate([ds.train_y, ds.test_y])

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import quadtune
+from quadtune.errors import InvalidArgumentError
 from quadtune.models import LinearRegression, LogisticRegression, Mlp, QuadraticBowl
 from quadtune.stats import fd_gradient
 
@@ -109,6 +110,15 @@ def test_mlp_regression_loss_is_half_squared_error():
     x = np.array([[2.0, 1.0]])
     # pred = 2 - 1 + 0.5 = 1.5; loss = 0.5 * (1.5 - 1.0)^2
     assert m.loss(x, np.array([1.0])) == pytest.approx(0.125)
+
+
+@pytest.mark.parametrize("layer_sizes", [[2, 3], [2, 4, 2]])
+def test_a_regression_mlp_has_exactly_one_output(layer_sizes):
+    with pytest.raises(InvalidArgumentError, match="exactly one output, not"):
+        Mlp(layer_sizes, task="regression")
+    m = Mlp([2, 4, 1], task="regression", rng=np.random.default_rng(0))
+    x = np.random.default_rng(1).normal(size=(5, 2))
+    assert m.predict(x).shape == (5,)
 
 
 def test_mlp_param_count():

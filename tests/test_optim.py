@@ -100,8 +100,10 @@ def test_adamw_decoupled_decay():
     pending = opt.compute_direction(params, np.array([0.5]))
     # decay does not enter the adaptive direction
     assert pending.direction[0] == pytest.approx(0.5 / (0.5 + 1e-8), rel=1e-12)
-    opt.commit_step(params, 0.1, pending)
-    assert params[0] == pytest.approx(2.0 - 0.1 * pending.direction[0] - 0.1 * 0.1 * 2.0)
+    lr, before = 0.1, params.copy()
+    expected = (before - lr * pending.direction) - lr * opt.weight_decay * before
+    opt.commit_step(params, lr, pending)
+    assert params.tobytes() == expected.tobytes()
 
 
 def test_adamw_without_decay_keeps_a_negative_zero_parameter():

@@ -410,7 +410,7 @@ def test_explore_epochs_conversion():
 def test_step_schedule_boundaries_epochs_conversion():
     policy = {"kind": "schedule", "variant": "step", "lrs": [0.1, 0.01, 0.001],
               "boundaries_epochs": [30, 60]}
-    spec = schedule_from_policy(policy, batches_per_epoch=100)
+    spec = schedule_from_policy(policy, total_steps=9000, batches_per_epoch=100)
     assert isinstance(spec, StepSchedule)
     assert spec.boundaries == (3000, 6000)
 
@@ -423,24 +423,25 @@ def test_epoch_keys_win_over_step_keys():
     tc = tuner_config_from_policy(dict(explore, kind="tuner", seed_lr=0.1), total_steps=100, batches_per_epoch=10)
     assert tc.explore_steps() == 20
     spec = schedule_from_policy({"kind": "schedule", "variant": "cosine", "seed_lr": 0.1,
-                                 "warmup_epochs": 0.25, "warmup_steps": 3}, batches_per_epoch=10)
+                                 "warmup_epochs": 0.25, "warmup_steps": 3}, total_steps=100, batches_per_epoch=10)
     assert spec.warmup_steps == 2  # round(2.5) to even
     spec = schedule_from_policy({"kind": "schedule", "variant": "step", "lrs": [0.1, 0.01],
-                                 "boundaries_epochs": [1.5], "boundaries": [4]}, batches_per_epoch=10)
+                                 "boundaries_epochs": [1.5], "boundaries": [4]}, total_steps=100, batches_per_epoch=10)
     assert spec.boundaries == (15,)
 
 
 def test_inverse_sqrt_warmup_defaults_to_one_step_and_rejects_zero():
     policy = {"kind": "schedule", "variant": "inverse_sqrt", "peak_lr": 0.1}
-    assert schedule_from_policy(policy, batches_per_epoch=10).warmup_steps == 1
+    assert schedule_from_policy(policy, total_steps=100, batches_per_epoch=10).warmup_steps == 1
     for warmup in ({"warmup_steps": 0}, {"warmup_epochs": 0.01}):
         with pytest.raises(InvalidArgumentError):
-            schedule_from_policy(dict(policy, **warmup), batches_per_epoch=10)
+            schedule_from_policy(dict(policy, **warmup), total_steps=100, batches_per_epoch=10)
 
 
 def test_float_keys_take_json_integers_as_floats():
     # An integer lr must still be written to the trace as a float ("1.0").
-    spec = schedule_from_policy({"kind": "schedule", "variant": "constant", "lr": 1}, batches_per_epoch=10)
+    spec = schedule_from_policy({"kind": "schedule", "variant": "constant", "lr": 1},
+                                total_steps=100, batches_per_epoch=10)
     assert spec.lr == 1.0 and type(spec.lr) is float
     tc = tuner_config_from_policy({"kind": "tuner", "seed_lr": 1}, total_steps=100, batches_per_epoch=10)
     assert type(tc.seed_lr) is float and type(tc.rollback_enabled) is bool
@@ -451,7 +452,7 @@ def test_null_is_taken_only_where_the_default_is_none():
     run = TrainingRun(schedule_cfg(model=bowl, dataset={"kind": "bowl", "n": 64}), 1)
     assert run.model.params.tolist() == [1.0, 1.0]
     policy = {"kind": "schedule", "variant": "one_cycle", "max_lr": 0.5, "momentum_range": None}
-    assert schedule_from_policy(policy, batches_per_epoch=10).momentum_range is None
+    assert schedule_from_policy(policy, total_steps=100, batches_per_epoch=10).momentum_range is None
     with pytest.raises(InvalidArgumentError, match="hidden"):
         schedule_cfg(model={"kind": "mlp", "hidden": None})
     with pytest.raises(InvalidArgumentError, match="weight_decay"):

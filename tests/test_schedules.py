@@ -155,6 +155,45 @@ def test_momentum_cycling():
     assert momentum_at(Constant(0.1), 10, t) is None
 
 
+def _one_cycle_lr_reference(spec, step, total_steps):
+    # Each segment written out on its own, as lr_at computed it before they shared one helper.
+    p = step / total_steps
+    start = spec.max_lr / spec.div_factor
+    if p < spec.up_frac:
+        return start + (spec.max_lr - start) * (p / spec.up_frac)
+    if p < spec.up_frac + spec.down_frac:
+        t = (p - spec.up_frac) / spec.down_frac
+        return spec.max_lr - (spec.max_lr - start) * t
+    t = (p - spec.up_frac - spec.down_frac) / spec.final_frac
+    end = start / spec.final_div
+    return start - (start - end) * t
+
+
+def _one_cycle_momentum_reference(spec, step, total_steps):
+    # Momentum falls while lr rises, rises while it falls, and holds its maximum in the final segment.
+    max_m, min_m = spec.momentum_range
+    p = step / total_steps
+    if p < spec.up_frac:
+        return max_m - (max_m - min_m) * (p / spec.up_frac)
+    if p < spec.up_frac + spec.down_frac:
+        t = (p - spec.up_frac) / spec.down_frac
+        return min_m + (max_m - min_m) * t
+    return max_m
+
+
+@pytest.mark.parametrize("spec", [
+    OneCycle(1.0, momentum_range=(0.95, 0.85)),
+    OneCycle(0.3, div_factor=25.0, final_div=1e4, up_frac=0.3, down_frac=0.6, final_frac=0.1,
+             momentum_range=(0.9, 0.0)),
+    OneCycle(0.07, up_frac=0.0, down_frac=0.8, final_frac=0.2, momentum_range=(0.85, 0.95)),
+], ids=["default", "custom", "up_frac-0"])
+def test_one_cycle_equals_its_segment_formulas_bit_for_bit(spec):
+    for total in (1, 2, 3, 7, 10, 97, 1000, 1537):
+        for step in range(total):
+            assert lr_at(spec, step, total).hex() == _one_cycle_lr_reference(spec, step, total).hex()
+            assert momentum_at(spec, step, total).hex() == _one_cycle_momentum_reference(spec, step, total).hex()
+
+
 def bowl_engine(theta0=(1.0, 1.0)):
     model = QuadraticBowl(np.diag([1.0, 10.0]), theta0=list(theta0))
     return TrainingEngine(model, make_bowl_dataset(64), minibatch_size=8, seed=0)

@@ -1,13 +1,15 @@
 """Print a sha256 line for every trace and per-seed summary of the reference runs.
 
 Runs `quadtune train` on perfbench's four workload configs at each given
-workload seed, and on `configs/blobs_tuner.json`, then prints one line per
-`trace_seed*.csv` and one per `per_seed` block of each `summary.json`:
+workload seed, and on every committed `configs/*.json` (labelled with its file
+stem, in name order), then prints one line per `trace_seed*.csv` and one per
+`per_seed` block of each `summary.json`:
 
     python3 tools/trace_digests.py --seeds 11-13 > digests.txt
 
 `--root` picks the checkout whose `src/` is trained (default: this one), so
-one copy of this script can check two trees; equal output means equal bits:
+one copy of this script can check two trees; the configs always come from the
+checkout that holds this script, and equal output means equal bits:
 
     python3 tools/trace_digests.py --seeds 11-13 --root ../parent > parent.txt
     python3 tools/trace_digests.py --seeds 11-13 > change.txt
@@ -74,8 +76,8 @@ def main(argv: list[str] | None = None) -> int:
 
     runs = [(f"{name}/{seed}", workload.config(seed, "")) for seed in parse_seeds(args.seeds)
             for name, workload in WORKLOADS.items()]
-    blobs = json.loads((ROOT / "configs" / "blobs_tuner.json").read_text(encoding="utf-8"))
-    runs.append(("blobs_tuner", blobs))
+    runs += [(path.stem, json.loads(path.read_text(encoding="utf-8")))
+             for path in sorted((ROOT / "configs").glob("*.json"))]
     with tempfile.TemporaryDirectory(prefix="trace_digests_") as tmp:
         for i, (label, config) in enumerate(runs):
             out_dir = Path(tmp) / str(i)
