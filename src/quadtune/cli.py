@@ -21,10 +21,10 @@ from typing import Iterable, Optional
 from .config import RunConfig
 from .errors import InvalidArgumentError, QuadtuneError
 from .quadprobe import propose_epsilon
-from .runner import CSV_COLUMNS, LR_POLICIES, RunRecord, TrainingRun, run_all_seeds, tuner_config_from_policy
+from .runner import CSV_COLUMNS, RunRecord, TrainingRun, run_all_seeds
 from .schedules import lr_at, lr_range_test
 from .stats import summarize
-from .tuner import probe_round
+from .tuner import TunerConfig, probe_round
 
 
 def _write_csv(path: str, header: list[str], rows: Iterable[Iterable]) -> None:
@@ -171,10 +171,9 @@ def cmd_quadcheck(args) -> int:
     if run.tuner is not None:
         tc, eta = run.tuner.cfg, run.tuner.state.current_lr
     else:
-        # A schedule policy's only tuner keys are its probe settings and seed_lr, which eta replaces.
+        # Probe at the scheduled lr with TunerConfig's defaults; the superbatch is capped at one epoch below.
         eta = lr_at(run.schedule, args.at_step, run.total_steps)
-        probe = {key: value for key, value in cfg.lr_policy.items() if key in LR_POLICIES["tuner"][1]}
-        tc = tuner_config_from_policy(dict(probe, kind="tuner", seed_lr=eta), run.total_steps, engine.batches_per_epoch)
+        tc = TunerConfig(seed_lr=eta, total_steps=run.total_steps)
 
     x, y = engine.batch_for_step(args.at_step)
     _, grads = engine.loss_and_gradient(x, y)

@@ -112,18 +112,13 @@ LR_POLICIES = {
 
 
 def policy_args(policy: dict[str, Any]) -> tuple:
-    """Factory and arguments of an lr_policy: a tuner, or a schedule by its variant.
-
-    A schedule also takes the tuner's probe settings, which quadcheck reads.
-    """
+    """Factory and arguments of an lr_policy: a tuner, or a schedule by its variant."""
     kind = policy.get("kind") if type(policy) is dict else None
     if kind == "tuner":
         return kind_args("lr_policy", policy, LR_POLICIES)
     if kind != "schedule" or policy.get("variant") == "tuner":
         raise InvalidArgumentError("lr_policy must have kind 'tuner', or kind 'schedule' and a schedule variant")
-    tuner_keys = LR_POLICIES["tuner"][1]
-    probe = {key: tuner_keys[key] for key in ("superbatch_size", "n_probes", "epsilon_threshold", "span_fraction")}
-    return kind_args("lr_policy", policy, LR_POLICIES, "variant", kind=str, **probe)
+    return kind_args("lr_policy", policy, LR_POLICIES, "variant", kind=str)
 
 
 def tuner_config_from_policy(policy: dict[str, Any], total_steps: int, batches_per_epoch: int) -> TunerConfig:
@@ -142,7 +137,8 @@ def tuner_config_from_policy(policy: dict[str, Any], total_steps: int, batches_p
 def schedule_from_policy(policy: dict[str, Any], total_steps: int, batches_per_epoch: int) -> ScheduleSpec:
     """ScheduleSpec from a schedule lr_policy; epoch keys are rounded to whole steps.
 
-    Every step boundary must lie inside the run, after step 0 and before ``total_steps``.
+    Every step boundary must lie inside the run, after step 0 and before ``total_steps``,
+    and a warmup must end before the run does.
     """
     factory, args = policy_args(policy)
     if "warmup_epochs" in policy:
@@ -153,7 +149,10 @@ def schedule_from_policy(policy: dict[str, Any], total_steps: int, batches_per_e
         args["boundaries"] = tuple(round(b * batches_per_epoch) for b in args["boundaries"])
     if not all(0 < b < total_steps for b in args.get("boundaries", ())):
         raise InvalidArgumentError(f"step boundaries must lie inside the run: above 0 and below its {total_steps} steps")
-    return factory(**args)
+    spec = factory(**args)
+    if getattr(spec, "warmup_steps", 0) >= total_steps:
+        raise InvalidArgumentError(f"a warmup of {spec.warmup_steps} steps does not end inside the run's {total_steps}")
+    return spec
 
 
 class TrainingRun:

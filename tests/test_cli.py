@@ -15,7 +15,9 @@ from quadtune.cli import main, write_trace
 from quadtune.config import RunConfig
 from quadtune.datasets import DATASETS
 from quadtune.errors import InvalidArgumentError, QuadtuneError
+from quadtune.quadprobe import epsilon_bound, probe_points
 from quadtune.runner import CSV_COLUMNS, LR_POLICIES, MODELS, OPTIMIZERS, RunRecord, TrainingRun
+from quadtune.schedules import lr_at
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -392,15 +394,22 @@ OUT_OF_RANGE = [
     pytest.param(dict(STEP, boundaries=[-5]), id="step-boundary-negative"),
     pytest.param(dict(STEP, boundaries=[60]), id="step-boundary-total_steps"),
     pytest.param(dict(STEP, boundaries_epochs=[0.01]), id="step-boundaries_epochs-rounds-to-0"),
+    pytest.param(dict(COSINE, warmup_steps=60), id="cosine-warmup_steps-total_steps"),
+    pytest.param(dict(COSINE, variant="linear", warmup_epochs=4.0), id="linear-warmup_epochs-the-whole-run"),
+    pytest.param({"kind": "schedule", "variant": "inverse_sqrt", "peak_lr": 0.1, "warmup_steps": 60},
+                 id="inverse_sqrt-warmup_steps-total_steps"),
 ]
 
-
-@pytest.mark.parametrize("command", [
+# The commands that build a run, each on the 60 steps of tuner_raw.
+RUN_COMMANDS = [
     ["train"],
     ["range-test", "--lr-min", "0.01", "--lr-max", "0.1"],
     ["sb-scan", "--sizes", "1"],
     ["quadcheck", "--at-step", "3"],
-], ids=lambda command: command[0])
+]
+
+
+@pytest.mark.parametrize("command", RUN_COMMANDS, ids=lambda command: command[0])
 @pytest.mark.parametrize("policy", OUT_OF_RANGE)
 def test_a_schedule_out_of_range_exits_1_before_the_first_step(tmp_path, capsys, monkeypatch, command, policy):
     monkeypatch.setattr(TrainingRun, "step_once", lambda run: pytest.fail("a step was taken"))
@@ -419,6 +428,32 @@ def test_step_boundaries_inside_the_run_train(tmp_path):
     with open(os.path.join(raw["out_dir"], "trace_seed1.csv")) as f:
         lrs = [float(row["lr"]) for row in csv.DictReader(f)]
     assert lrs == [0.1] + [0.05] * 58 + [0.01]
+
+
+@pytest.mark.parametrize("policy,warmup,last_lr", [
+    (dict(COSINE, warmup_steps=59), 59, 0.1),  # the last step is the decay's first, at progress 0
+    (dict(COSINE, variant="linear", warmup_epochs=3.0), 45, 0.1 * (1.0 - 14 / 15)),
+], ids=["cosine-59-of-60", "linear-45-of-60"])
+def test_a_warmup_that_ends_inside_the_run_trains(tmp_path, policy, warmup, last_lr):
+    raw = tuner_raw(tmp_path, lr_policy=policy)
+    assert main(["train", "--config", write_config(tmp_path, raw), "--quiet"]) == 0
+    with open(os.path.join(raw["out_dir"], "trace_seed1.csv")) as f:
+        lrs = [float(row["lr"]) for row in csv.DictReader(f)]
+    assert lrs[:warmup] == [0.1 * (step + 1) / warmup for step in range(warmup)]
+    assert lrs[-1] == last_lr
+
+
+@pytest.mark.parametrize("command", RUN_COMMANDS, ids=lambda command: command[0])
+@pytest.mark.parametrize("key,value", [("superbatch_size", 4), ("n_probes", 7), ("epsilon_threshold", 1e-3),
+                                       ("span_fraction", 0.5)])
+def test_a_schedule_policy_takes_no_probe_key(tmp_path, capsys, monkeypatch, command, key, value):
+    # Probe settings belong to a tuner policy; a schedule run's quadcheck uses the tuner's defaults.
+    monkeypatch.setattr(TrainingRun, "step_once", lambda run: pytest.fail("a step was taken"))
+    raw = tuner_raw(tmp_path, lr_policy=dict(COSINE, **{key: value}))
+    path = write_config(tmp_path, raw)
+    assert main([command[0], "--config", path, *command[1:], "--quiet"]) == 1
+    assert capsys.readouterr().err == f"config error: unknown key '{key}' in cosine lr_policy\n"
+    assert not os.path.exists(raw["out_dir"])
 
 
 @pytest.mark.parametrize("command,below", [
@@ -590,11 +625,25 @@ class TestQuadcheckCommand:
         assert capsys.readouterr().err == "config error: at_step must lie within the configured run\n"
         assert not os.path.exists(raw["out_dir"])
 
-    def test_schedule_policy_reads_probe_settings(self, tmp_path):
-        # Schedule runs take n_probes from lr_policy with the tuner's defaults.
-        for overrides, n_probes in [({}, 5), ({"n_probes": 7}, 7)]:
-            policy = dict({"kind": "schedule", "variant": "cosine", "seed_lr": 0.5}, **overrides)
-            path = write_config(tmp_path, schedule_raw(tmp_path, lr_policy=policy))
-            assert main(["quadcheck", "--config", path, "--at-step", "3", "--quiet"]) == 0
-            body = read_csv(os.path.join(str(tmp_path), "out", "quadcheck.csv"))[1:]
-            assert [r[3] for r in body] == ["0"] * n_probes + ["1"] * 4
+    @pytest.mark.parametrize("seed_lr", [0.5, 0.05], ids=["bound-binds", "span-binds"])
+    def test_a_schedule_run_probes_with_the_tuner_defaults(self, tmp_path, seed_lr):
+        # At the scheduled lr: S = 100 minibatches capped at one epoch, n = 5, r = 1e-3, span 0.5.
+        # The grid's half width is min(span·eta, bound): seed_lr 0.5 pins r, and 0.05 the span.
+        raw = schedule_raw(tmp_path, lr_policy=dict(COSINE, seed_lr=seed_lr))
+        path = write_config(tmp_path, raw)
+        assert main(["quadcheck", "--config", path, "--at-step", "3", "--quiet"]) == 0
+        body = read_csv(os.path.join(raw["out_dir"], "quadcheck.csv"))[1:]
+        assert [r[3] for r in body] == ["0"] * 5 + ["1"] * 4
+
+        run = TrainingRun(RunConfig.from_dict(raw), raw["seeds"][0])
+        engine = run.engine
+        assert engine.batches_per_epoch < 100
+        run.advance_to(3)
+        eta = lr_at(run.schedule, 3, run.total_steps)
+        _, grads = engine.loss_and_gradient(*engine.batch_for_step(3))
+        direction = run.optimizer.compute_direction(run.model.params, grads).direction
+        loss_at_zero = engine.perturbed_loss(direction, eta, engine.draw_superbatch(engine.batches_per_epoch))
+        assert float(body[2][1]) == loss_at_zero
+        bound = epsilon_bound(1e-3, loss_at_zero)
+        assert (bound < 0.5 * eta) == (seed_lr == 0.5)
+        assert [float(r[0]) for r in body[:5]] == probe_points(eta, bound, 5, 0.5)

@@ -3,7 +3,8 @@
 Runs `quadtune train` on perfbench's four workload configs at each given
 workload seed, and on every committed `configs/*.json` (labelled with its file
 stem, in name order), then prints one line per `trace_seed*.csv` and one per
-`per_seed` block of each `summary.json`:
+`per_seed` block of each `summary.json`. A block's line ends with the run's
+forward passes, and for a tuner run its accepts and rollbacks:
 
     python3 tools/trace_digests.py --seeds 11-13 > digests.txt
 
@@ -56,6 +57,13 @@ def train(root: Path, config: dict, out_dir: Path) -> None:
                    env=env, check=True)
 
 
+def work(block: dict) -> str:
+    """A `per_seed` block's accepts and rollbacks (tuner runs only) and forward passes."""
+    counters = block.get("tuner_counters")
+    tuner = f"accepts={counters['accepts']} rollbacks={counters['rollbacks']} " if counters else ""
+    return f"{tuner}engine_forward_passes={block['engine_forward_passes']}"
+
+
 def digests(label: str, out_dir: Path) -> list[str]:
     """One line per trace file and per `per_seed` block; the config's `out_dir` is left out."""
     lines = [f"{sha256(path.read_bytes())}  {label}/{path.name}"
@@ -63,7 +71,7 @@ def digests(label: str, out_dir: Path) -> list[str]:
     summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
     for block in summary["per_seed"]:
         text = json.dumps(block, sort_keys=True).encode()
-        lines.append(f"{sha256(text)}  {label}/per_seed[{block['seed']}]")
+        lines.append(f"{sha256(text)}  {label}/per_seed[{block['seed']}]  {work(block)}")
     return lines
 
 
