@@ -66,6 +66,9 @@ class TrainingEngine:
         self.superbatch_rng = seeded_stream(seed, "superbatch")
         self.forward_passes = 0
         self.backward_passes = 0
+        # The next loss_and_gradient's result when it was computed ahead at the current params
+        # (a cohort's stacked step); it is served once, and a write to the params must drop it.
+        self.computed: Optional[tuple[float, np.ndarray]] = None
         self._saved_params = np.empty_like(model.params)  # perturbed_loss's restore point
         self._finite = np.empty(model.params.shape, dtype=bool)  # and its finiteness mask
         self._epoch = -1
@@ -93,8 +96,12 @@ class TrainingEngine:
     # -- losses and gradients -------------------------------------------------
 
     def loss_and_gradient(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+        """The model's loss and gradient on the batch, or the result `computed` ahead; one forward and one backward."""
         self.forward_passes += 1
         self.backward_passes += 1
+        computed, self.computed = self.computed, None
+        if computed is not None:
+            return computed
         return self.model.loss_and_gradient(x, y)
 
     def superbatch_loss(self, sb: Superbatch) -> float:

@@ -3,9 +3,11 @@
 All models store their parameters in one flat float64 array (``params``) and
 implement mean per-example loss plus its exact gradient: squared error / 2
 for regression, softmax cross-entropy for classification. Means are written
-``x.sum() / n``, which is what ``np.mean`` computes, without its Python
-wrapper. The quadratic bowl is a data-free objective on the parameters
-themselves, used as an analytic oracle in tests.
+as a sum over the rows divided by their count, which is what ``np.mean``
+computes, without its Python wrapper; `Mlp.loss_and_gradient` calls the
+ufunc reductions themselves, skipping the array methods' wrappers too. The
+quadratic bowl is a data-free objective on the parameters themselves, used
+as an analytic oracle in tests.
 
 Every `Mlp` evaluation (`loss`, `predict` and `loss_and_predict`) runs in
 blocks of rows through `logits`. A blocked result equals one unblocked
@@ -25,6 +27,8 @@ host still replays exactly.
 
 from __future__ import annotations
 
+import copy
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Optional
@@ -62,6 +66,16 @@ def _block_pool() -> tuple[int, Optional[ThreadPoolExecutor]]:
 _SHARES, _POOL = _block_pool()
 if hasattr(os, "register_at_fork"):  # a forked child inherits the pool but none of its threads
     os.register_at_fork(after_in_child=lambda: globals().update(zip(("_SHARES", "_POOL"), _block_pool())))
+
+
+@functools.lru_cache(maxsize=8)  # a run meets a few shapes: minibatch, stack, superbatch and test set
+def _row_index(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Read-only index arrays that, with one column per row, pick one entry from each
+    row of an array of rows shaped `shape`: (arange(n),), or a seed axis and a row axis."""
+    index = tuple(np.arange(k).reshape((k,) + (1,) * (len(shape) - 1 - i)) for i, k in enumerate(shape))
+    for axis in index:
+        axis.flags.writeable = False
+    return index
 
 
 class Model:
@@ -122,8 +136,14 @@ class Mlp(Model):
     regression uses mean 0.5*(pred - y)^2 with a single output unit.
 
     The per-layer weight/bias views into ``params`` are built once, so
-    ``params`` must be written in place (``params[:] = v``), never rebound;
-    copies and unpickled models rebuild their views.
+    ``params`` must be written in place (``params[:] = v``), never rebound
+    but by `stack`; copies and unpickled models rebuild their views.
+
+    ``params`` may be one row of a stack's (see `stack`). A stacked Mlp's
+    params are seeds x parameters, and its `loss_and_gradient` takes a
+    seeds x rows x features batch and returns a loss per seed and a gradient
+    row per seed, each with the bits of that seed's own call. Every other
+    method takes the unstacked shapes.
     """
 
     def __init__(
@@ -157,17 +177,40 @@ class Mlp(Model):
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self._layers = self._split(self.params)
+        self._bind(self.params)
+
+    def _bind(self, params: np.ndarray) -> None:
+        self.params = params
+        self._layers = self._split(params)
+
+    @classmethod
+    def stack(cls, models: list[Mlp]) -> Mlp:
+        """One Mlp whose params are the models' params as rows of one array.
+
+        Each model's ``params`` becomes its row, with its values, so a write to
+        either reaches both. A stacked `loss_and_gradient` over a
+        seeds x rows x features batch runs each seed's matrix products as
+        their own BLAS calls with unchanged sizes, and every other operation
+        per seed along the same axes, so each seed's loss and gradient have
+        the bits of its own call.
+        """
+        stacked = copy.copy(models[0])
+        stacked._bind(np.array([m.params for m in models]))
+        for model, row in zip(models, stacked.params):
+            model._bind(row)
+        return stacked
 
     def _split(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-layer (weight, bias) views into a flat vector laid out like `params`."""
+        """Per-layer (weight, bias) views into a vector laid out like `params`, or
+        into each row of a stack of them; a bias is a (..., 1, fan_out) view."""
+        lead = flat.shape[:-1]
         out = []
-        offset = 0
+        start = 0
         for fan_in, fan_out in self._shapes:
-            w = flat[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
-            offset += fan_in * fan_out
-            out.append((w, flat[offset : offset + fan_out]))
-            offset += fan_out
+            stop = start + fan_in * fan_out
+            weight = flat[..., start:stop].reshape(lead + (fan_in, fan_out))
+            out.append((weight, flat[..., None, stop : stop + fan_out]))
+            start = stop + fan_out
         return out
 
     def _forward(self, x, keep_inputs: bool = False):
@@ -189,25 +232,24 @@ class Mlp(Model):
 
     def _row_losses(self, out, y, with_delta: bool = False):
         """Per-row losses of the outputs and, with `with_delta`, the gradient
-        of their mean with respect to the outputs (one shared `exp`)."""
-        n = out.shape[0]
+        of their mean over the rows with respect to the outputs (one shared `exp`)."""
         if self.task == TASK_CLASSIFICATION:
-            shifted = out - out.max(axis=1, keepdims=True)
+            shifted = out - np.maximum.reduce(out, -1, keepdims=True)
             exp = np.exp(shifted)
-            z = exp.sum(axis=1, keepdims=True)
-            picked = (np.arange(n), y)
-            rows = np.log(z[:, 0]) - shifted[picked]
+            z = np.add.reduce(exp, -1, keepdims=True)
+            picked = _row_index(out.shape[:-1]) + (y,)
+            rows = np.log(z[..., 0]) - shifted[picked]
             if not with_delta:
                 return rows, None
-            delta = exp / z
+            delta = np.divide(exp, z, out=exp)
             delta[picked] -= 1.0
         else:
-            r = out[:, 0] - y
+            r = out[..., 0] - y
             rows = 0.5 * r * r
             if not with_delta:
                 return rows, None
-            delta = r.reshape(-1, 1)
-        delta /= n
+            delta = r[..., None]
+        delta /= out.shape[-2]
         return rows, delta
 
     def logits(self, x):
@@ -277,18 +319,20 @@ class Mlp(Model):
         return self.loss_and_gradient(x, y)[1]
 
     def loss_and_gradient(self, x, y):
-        """Loss and gradient from one forward pass."""
+        """Loss and gradient from one forward pass; a stack's are a loss per seed and a gradient row per seed."""
         out, inputs = self._forward(x, keep_inputs=True)
         rows, delta = self._row_losses(out, y, with_delta=True)
         grad = np.empty_like(self.params)
         grads = self._split(grad)
         for i in range(len(grads) - 1, -1, -1):
             gw, gb = grads[i]
-            np.matmul(inputs[i].T, delta, out=gw)
-            delta.sum(axis=0, out=gb)
+            np.matmul(inputs[i].swapaxes(-1, -2), delta, out=gw)
+            np.add.reduce(delta, -2, out=gb, keepdims=True)
             if i > 0:
-                delta = (delta @ self._layers[i][0].T) * (inputs[i] > 0.0)
-        return float(rows.sum() / len(rows)), grad
+                delta = delta @ self._layers[i][0].swapaxes(-1, -2)
+                delta *= inputs[i] > 0.0
+        loss = np.add.reduce(rows, -1) / rows.shape[-1]
+        return (float(loss) if loss.ndim == 0 else loss), grad
 
 
 class LogisticRegression(Mlp):

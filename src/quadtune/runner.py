@@ -12,6 +12,7 @@ from .datasets import Dataset, kind_args, make_dataset, seeded_stream
 from .engine import TrainingEngine
 from .errors import InvalidArgumentError
 from .models import (
+    BLOCK_ELEMENTS,
     TASK_CLASSIFICATION,
     TASK_REGRESSION,
     LinearRegression,
@@ -138,7 +139,7 @@ def schedule_from_policy(policy: dict[str, Any], total_steps: int, batches_per_e
     """ScheduleSpec from a schedule lr_policy; epoch keys are rounded to whole steps.
 
     Every step boundary must lie inside the run, after step 0 and before ``total_steps``,
-    and a warmup must end before the run does.
+    and a warmup must leave the run at least two steps: the first after it is at the peak lr.
     """
     factory, args = policy_args(policy)
     if "warmup_epochs" in policy:
@@ -150,8 +151,9 @@ def schedule_from_policy(policy: dict[str, Any], total_steps: int, batches_per_e
     if not all(0 < b < total_steps for b in args.get("boundaries", ())):
         raise InvalidArgumentError(f"step boundaries must lie inside the run: above 0 and below its {total_steps} steps")
     spec = factory(**args)
-    if getattr(spec, "warmup_steps", 0) >= total_steps:
-        raise InvalidArgumentError(f"a warmup of {spec.warmup_steps} steps does not end inside the run's {total_steps}")
+    if getattr(spec, "warmup_steps", 0) >= total_steps - 1:
+        raise InvalidArgumentError(f"a warmup of {spec.warmup_steps} steps leaves fewer than 2 of the run's "
+                                   f"{total_steps}, so its lr never decays")
     return spec
 
 
@@ -187,9 +189,10 @@ class TrainingRun:
         self.records: list[RunRecord] = []
         self._step = 0
 
-    def step_once(self) -> RunRecord:
+    def step_once(self, batch: Optional[tuple[np.ndarray, np.ndarray]] = None) -> RunRecord:
+        """Take the next step, on `batch` when the caller has gathered its minibatch."""
         step = self._step
-        x, y = self.engine.batch_for_step(step)
+        x, y = self.engine.batch_for_step(step) if batch is None else batch
         if self.tuner is not None:
             outcome = self.tuner.run_step(step, x, y)
             lr = outcome.lr
@@ -276,22 +279,84 @@ def aggregate_summaries(per_seed: list[dict[str, Any]]) -> dict[str, Any]:
     return aggregate
 
 
+def _train_cohort(
+    first: TrainingRun, cfg: RunConfig, dataset: Dataset
+) -> tuple[list[TrainingRun], Optional[Exception]]:
+    """Train every seed in lockstep; `first`, seed 0's run, has taken its first step.
+
+    Each later seed is built and takes its own first step. Every later step
+    then runs one stacked `Mlp.loss_and_gradient` on all seeds' minibatches,
+    and each seed's `step_once` is served its share. A seed that raises drops
+    out with every seed after it, as if the seeds had run one after another.
+    Returns the seeds that finished, in config order, and the earliest error.
+    """
+    runs = [first]
+    error = None
+    for seed in cfg.seeds[1:]:
+        try:
+            run = TrainingRun(cfg, seed, dataset)
+            run.advance_to(1)
+        except Exception as exc:
+            error = exc
+            break
+        runs.append(run)
+    stack = Mlp.stack([run.model for run in runs])
+    with np.errstate(over="ignore", invalid="ignore"):  # as in advance_to
+        for step in range(1, first.total_steps):
+            batches = [run.engine.batch_for_step(step) for run in runs]
+            xs, ys = zip(*batches)
+            losses, grads = stack.loss_and_gradient(np.array(xs), np.array(ys))
+            for i, run in enumerate(runs):
+                run.engine.computed = float(losses[i]), grads[i]
+                try:
+                    run.step_once(batches[i])
+                except Exception as exc:
+                    if i == 0:
+                        raise
+                    error = exc
+                    del runs[i:]
+                    stack = Mlp.stack([run.model for run in runs])
+                    break
+    return runs, error
+
+
 def run_all_seeds(
     cfg: RunConfig, on_trace: Optional[Callable[[int, list[RunRecord]], None]] = None
 ) -> tuple[dict[int, list[RunRecord]], dict[str, Any]]:
     """Run every configured seed on one dataset; returns traces plus the cross-seed summary.
 
+    The first seed is built and takes its first step before any other seed is
+    built. When the model is an `Mlp` and all seeds' parameters together fit
+    one row block (seeds x parameters at most `BLOCK_ELEMENTS`), the seeds then
+    train as one cohort (`_train_cohort`), with the traces and summaries of
+    seeds run one after another, bit for bit. Otherwise each seed trains to
+    its end before the next one is built.
+
     With `on_trace`, each seed's records go to `on_trace(seed, records)` when
-    that seed ends and are not kept, so the returned traces are empty.
+    that seed ends (a cohort's seeds end together, in config order) and are
+    not kept, so the returned traces are empty. A seed that raises ends the
+    command as it would had the seeds run one after another: the seeds before
+    it end and pass their records on, and its error is raised.
     """
     traces: dict[int, list[RunRecord]] = {}
     per_seed: list[dict[str, Any]] = []
     keep = on_trace or traces.__setitem__
     dataset = make_dataset(cfg.dataset)
-    for seed in cfg.seeds:
-        run = TrainingRun(cfg, seed, dataset)
-        keep(seed, run.run())
-        per_seed.append(run.summary())
+    run = TrainingRun(cfg, cfg.seeds[0], dataset)
+    run.advance_to(1)
+    if len(cfg.seeds) > 1 and isinstance(run.model, Mlp) and len(cfg.seeds) * run.model.params.size <= BLOCK_ELEMENTS:
+        runs, error = _train_cohort(run, cfg, dataset)
+        for run in runs:
+            keep(run.seed, run.records)
+            per_seed.append(run.summary())
+        if error is not None:
+            raise error
+    else:
+        for i, seed in enumerate(cfg.seeds):
+            if i > 0:
+                run = TrainingRun(cfg, seed, dataset)
+            keep(seed, run.run())
+            per_seed.append(run.summary())
     summary = {
         "config": cfg.to_dict(),
         "per_seed": per_seed,

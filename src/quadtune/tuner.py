@@ -297,6 +297,7 @@ class LearningRateTuner:
         if snap is None or rate_before is None or rate_after >= self.cfg.rollback_factor * rate_before:
             return False
         restore_snapshot(snap, self.engine.model.params, self.optimizer)
+        self.engine.computed = None  # it was computed at the params just replaced
         self.engine.restore_data_state(snap.rng_cursor)
         st.current_lr = snap.lr
         return True

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import re
 import runpy
@@ -15,6 +16,7 @@ from quadtune.cli import main, write_trace
 from quadtune.config import RunConfig
 from quadtune.datasets import DATASETS
 from quadtune.errors import InvalidArgumentError, QuadtuneError
+from quadtune.models import Mlp
 from quadtune.quadprobe import epsilon_bound, probe_points
 from quadtune.runner import CSV_COLUMNS, LR_POLICIES, MODELS, OPTIMIZERS, RunRecord, TrainingRun
 from quadtune.schedules import lr_at
@@ -58,6 +60,9 @@ def tuner_raw(tmp_path, **overrides):
     }
     raw.update(overrides)
     return raw
+
+
+LINREG_DATA = {"kind": "linreg", "n": 600, "dim": 4, "noise": 0.1, "seed": 4}
 
 
 def read_csv(path):
@@ -195,7 +200,9 @@ class TestTrainCommand:
         assert bytes_a == bytes_b
 
     def test_each_trace_is_written_when_its_seed_ends(self, tmp_path, monkeypatch, capsys):
-        raw = schedule_raw(tmp_path, seeds=[1, 2, 3])
+        # linreg is no Mlp, so its seeds do not stack: each one trains to its end before the next.
+        raw = schedule_raw(tmp_path, seeds=[1, 2, 3], dataset=LINREG_DATA, model={"kind": "linreg"},
+                           lr_policy=dict(COSINE, seed_lr=0.05))
         path = write_config(tmp_path, raw)
         assert main(["train", "--config", path, "--out", os.path.join(str(tmp_path), "full"), "--quiet"]) == 0
         out = Path(raw["out_dir"])
@@ -214,6 +221,42 @@ class TestTrainCommand:
         assert written == [[], ["trace_seed1.csv"], ["trace_seed1.csv", "trace_seed2.csv"]]
         assert sorted(p.name for p in out.glob("*")) == ["trace_seed1.csv", "trace_seed2.csv"]  # no summary.json
         for name in ("trace_seed1.csv", "trace_seed2.csv"):
+            assert (out / name).read_bytes() == Path(tmp_path, "full", name).read_bytes()
+
+    @pytest.mark.parametrize("failures,error,stepped,kept", [
+        ({(3, 40)}, "seed 3 fails", {1, 2, 3}, ["trace_seed1.csv", "trace_seed2.csv"]),
+        ({(2, 40)}, "seed 2 fails", {1, 2, 3}, ["trace_seed1.csv"]),
+        ({(3, 10), (2, 40)}, "seed 2 fails", {1, 2, 3}, ["trace_seed1.csv"]),
+        ({(1, 40), (3, 10)}, "seed 1 fails", {1, 2, 3}, []),
+        ({(2, 0)}, "seed 2 fails", {1, 2}, ["trace_seed1.csv"]),
+        ({(1, 0), (2, 0)}, "seed 1 fails", {1}, []),
+    ], ids=["seed-3-at-step-40", "seed-2-at-step-40", "seed-2-at-step-40-after-seed-3-at-10",
+            "seed-1-at-step-40-after-seed-3-at-10", "seed-2-at-step-0", "seed-1-at-step-0"])
+    def test_a_failing_seed_ends_a_cohort_as_if_the_seeds_ran_in_turn(
+        self, tmp_path, monkeypatch, capsys, failures, error, stepped, kept
+    ):
+        # logreg is an Mlp, so the 3 seeds stack and end together, after 50 steps. The earliest
+        # seed that raises decides the error, the seeds before it keep their traces, and a
+        # failure at the first seed's first step ends the command before another seed is built.
+        raw = schedule_raw(tmp_path, seeds=[1, 2, 3], epochs=5)
+        path = write_config(tmp_path, raw)
+        assert main(["train", "--config", path, "--out", os.path.join(str(tmp_path), "full"), "--quiet"]) == 0
+        out = Path(raw["out_dir"])
+        step_once = TrainingRun.step_once
+        seeds = set()
+
+        def step_or_fail(self, *batch):
+            seeds.add(self.seed)
+            if (self.seed, len(self.records)) in failures:
+                raise QuadtuneError(f"seed {self.seed} fails")
+            return step_once(self, *batch)
+
+        monkeypatch.setattr(TrainingRun, "step_once", step_or_fail)
+        assert main(["train", "--config", path, "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert seeds == stepped
+        assert sorted(p.name for p in out.glob("*")) == kept  # no summary.json
+        for name in kept:
             assert (out / name).read_bytes() == Path(tmp_path, "full", name).read_bytes()
 
     def test_seed_override(self, tmp_path):
@@ -375,6 +418,43 @@ def test_every_command_rejects_an_unknown_key(tmp_path, capsys, command):
     assert not os.path.exists(raw["out_dir"])
 
 
+@pytest.mark.parametrize("overrides,stacks,rolls_back", [
+    pytest.param({"lr_policy": COSINE}, True, False, id="moons-cosine-mlp"),
+    pytest.param({}, True, True, id="moons-tuner-mlp"),
+    pytest.param({"optimizer": {"kind": "adamw", "weight_decay": 0.01, "minibatch_size": 32}}, True, True,
+                 id="moons-adamw-tuner"),
+    pytest.param({"dataset": LINREG_DATA, "model": {"kind": "linreg"}, "lr_policy": dict(COSINE, seed_lr=0.05)},
+                 False, False, id="linreg"),
+    # 4 x 17282 parameters exceed BLOCK_ELEMENTS (65536).
+    pytest.param({"model": {"kind": "mlp", "hidden": [128, 128]}, "seeds": [1, 2, 3, 4]}, False, True,
+                 id="mlp-stack-over-the-block"),
+])
+def test_each_seed_of_a_command_equals_that_seed_run_alone(tmp_path, monkeypatch, overrides, stacks, rolls_back):
+    raw = tuner_raw(tmp_path, **dict({"seeds": [1, 2, 3]}, **overrides))
+    path = write_config(tmp_path, raw)
+    stacked = []
+    stack = Mlp.stack.__func__
+
+    def counted_stack(cls, models):
+        stacked.append(len(models))
+        return stack(cls, models)
+
+    monkeypatch.setattr(Mlp, "stack", classmethod(counted_stack))
+    assert main(["train", "--config", path, "--quiet"]) == 0
+    assert stacked == ([len(raw["seeds"])] if stacks else [])
+    out = Path(raw["out_dir"])
+    blocks = json.loads((out / "summary.json").read_text(encoding="utf-8"))["per_seed"]
+    assert [block["seed"] for block in blocks] == raw["seeds"]
+    if rolls_back:
+        assert sum(block["tuner_counters"]["rollbacks"] for block in blocks) > 0
+    for seed, block in zip(raw["seeds"], blocks):
+        alone = tmp_path / f"alone{seed}"
+        assert main(["train", "--config", path, "--seed", str(seed), "--out", str(alone), "--quiet"]) == 0
+        assert (out / f"trace_seed{seed}.csv").read_bytes() == (alone / f"trace_seed{seed}.csv").read_bytes()
+        [alone_block] = json.loads((alone / "summary.json").read_text(encoding="utf-8"))["per_seed"]
+        assert json.dumps(block, sort_keys=True) == json.dumps(alone_block, sort_keys=True)
+
+
 # Schedule settings out of range; each used to train, or to fail only at its first commit.
 OUT_OF_RANGE = [
     pytest.param(dict(ONE_CYCLE, momentum_range=[1.5, 0.5]), id="one_cycle-momentum-1.5"),
@@ -395,6 +475,10 @@ OUT_OF_RANGE = [
     pytest.param(dict(STEP, boundaries=[60]), id="step-boundary-total_steps"),
     pytest.param(dict(STEP, boundaries_epochs=[0.01]), id="step-boundaries_epochs-rounds-to-0"),
     pytest.param(dict(COSINE, warmup_steps=60), id="cosine-warmup_steps-total_steps"),
+    pytest.param(dict(COSINE, warmup_steps=59), id="cosine-warmup_steps-total_steps-less-1"),
+    pytest.param(dict(COSINE, variant="linear", warmup_steps=59), id="linear-warmup_steps-total_steps-less-1"),
+    pytest.param({"kind": "schedule", "variant": "inverse_sqrt", "peak_lr": 0.1, "warmup_steps": 59},
+                 id="inverse_sqrt-warmup_steps-total_steps-less-1"),
     pytest.param(dict(COSINE, variant="linear", warmup_epochs=4.0), id="linear-warmup_epochs-the-whole-run"),
     pytest.param({"kind": "schedule", "variant": "inverse_sqrt", "peak_lr": 0.1, "warmup_steps": 60},
                  id="inverse_sqrt-warmup_steps-total_steps"),
@@ -431,9 +515,9 @@ def test_step_boundaries_inside_the_run_train(tmp_path):
 
 
 @pytest.mark.parametrize("policy,warmup,last_lr", [
-    (dict(COSINE, warmup_steps=59), 59, 0.1),  # the last step is the decay's first, at progress 0
+    (dict(COSINE, warmup_steps=58), 58, 0.1 * 0.5 * (1.0 + math.cos(math.pi / 2))),  # progress 1/2 at the last step
     (dict(COSINE, variant="linear", warmup_epochs=3.0), 45, 0.1 * (1.0 - 14 / 15)),
-], ids=["cosine-59-of-60", "linear-45-of-60"])
+], ids=["cosine-58-of-60", "linear-45-of-60"])
 def test_a_warmup_that_ends_inside_the_run_trains(tmp_path, policy, warmup, last_lr):
     raw = tuner_raw(tmp_path, lr_policy=policy)
     assert main(["train", "--config", write_config(tmp_path, raw), "--quiet"]) == 0

@@ -273,6 +273,18 @@ def test_cost_counters():
     assert engine.backward_passes == 1
 
 
+def test_a_result_computed_ahead_is_served_once_and_counted_as_one_pass():
+    engine = make_engine()
+    x, y = engine.minibatch(0)
+    computed = (0.5, np.arange(3.0))
+    engine.computed = computed
+    assert engine.loss_and_gradient(x, y) is computed
+    assert engine.computed is None and (engine.forward_passes, engine.backward_passes) == (1, 1)
+    loss, grad = engine.loss_and_gradient(x, y)
+    assert (loss, grad.tolist()) == (engine.model.loss(x, y), engine.model.gradient(x, y).tolist())
+    assert (engine.forward_passes, engine.backward_passes) == (2, 2)
+
+
 def test_draw_superbatch_bounds():
     engine = make_engine(n=320, mb=32)  # 8 train batches
     sb = engine.draw_superbatch(8)

@@ -411,3 +411,32 @@ def test_means_equal_their_np_mean_forms(n):
     rows, _ = mlp._row_losses(mlp.logits(x), labels)
     assert mlp.loss(x, labels) == float(np.mean(rows))
     assert mlp.loss_and_gradient(x, labels)[0] == float(np.mean(rows))
+
+
+@pytest.mark.parametrize("sizes,task,rows,seeds", [
+    ([2, 64, 32, 2], "classification", 32, 3),
+    ([20, 64, 32, 10], "classification", 32, 10),
+    ([3, 16, 1], "regression", 17, 4),
+    ([5, 3], "classification", 200, 2),
+    ([4, 7, 3], "classification", 1, 2),
+])
+def test_a_stacked_step_gives_each_seed_the_bits_of_its_own_call(sizes, task, rows, seeds):
+    rng = np.random.default_rng(len(sizes) * rows + seeds)
+    models = [Mlp(sizes, task=task, rng=rng) for _ in range(seeds)]
+    for model in models:
+        model.params += rng.normal(scale=0.1, size=model.params.shape)  # nonzero biases
+    x = rng.normal(size=(seeds, rows, sizes[0]))
+    y = rng.integers(0, sizes[-1], size=(seeds, rows)) if task == "classification" else rng.normal(size=(seeds, rows))
+    alone = [model.loss_and_gradient(x[i], y[i]) for i, model in enumerate(models)]
+    before = [model.params.copy() for model in models]
+    stacked = Mlp.stack(models)
+    for i, model in enumerate(models):
+        # Each model's params are its row of the stack, with its values; a write to one reaches the other.
+        assert model.params.base is stacked.params and model.params.tolist() == before[i].tolist()
+        assert all(np.shares_memory(w, model.params) for w, _ in model._layers)
+    losses, grads = stacked.loss_and_gradient(x, y)
+    for i, model in enumerate(models):
+        assert float(losses[i]) == alone[i][0] == model.loss_and_gradient(x[i], y[i])[0]
+        assert grads[i].tobytes() == alone[i][1].tobytes()
+    models[0].params[0] += 1.0
+    assert stacked.params[0, 0] == models[0].params[0] and stacked._layers[0][0][0, 0, 0] == models[0].params[0]

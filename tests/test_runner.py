@@ -440,16 +440,20 @@ def test_inverse_sqrt_warmup_defaults_to_one_step_and_rejects_zero():
 
 def test_a_warmup_must_end_inside_the_run():
     # Checked on the built spec: after warmup_epochs rounding, and on inverse_sqrt's default of 1.
+    # The first step after a warmup is at the peak lr, so the run needs one more to decay.
     for variant, key in (("cosine", "seed_lr"), ("linear", "seed_lr"), ("inverse_sqrt", "peak_lr")):
         policy = {"kind": "schedule", "variant": variant, key: 0.1}
-        assert schedule_from_policy(dict(policy, warmup_steps=9), total_steps=10, batches_per_epoch=10).warmup_steps == 9
-        for warmup in ({"warmup_steps": 10}, {"warmup_steps": 11}, {"warmup_epochs": 0.95}):  # round(9.5) is 10
-            with pytest.raises(InvalidArgumentError, match="does not end inside the run's 10"):
+        for warmup in ({"warmup_steps": 8}, {"warmup_epochs": 0.85}):  # round(8.5) is 8
+            assert schedule_from_policy(dict(policy, **warmup), total_steps=10, batches_per_epoch=10).warmup_steps == 8
+        for warmup in ({"warmup_steps": 9}, {"warmup_steps": 10}, {"warmup_steps": 11},
+                       {"warmup_epochs": 0.9}, {"warmup_epochs": 0.95}):  # round(9.5) is 10
+            with pytest.raises(InvalidArgumentError, match="leaves fewer than 2 of the run's 10, so its lr never"):
                 schedule_from_policy(dict(policy, **warmup), total_steps=10, batches_per_epoch=10)
     inverse_sqrt = {"kind": "schedule", "variant": "inverse_sqrt", "peak_lr": 0.1}
-    assert schedule_from_policy(inverse_sqrt, total_steps=2, batches_per_epoch=1).warmup_steps == 1
-    with pytest.raises(InvalidArgumentError):
-        schedule_from_policy(inverse_sqrt, total_steps=1, batches_per_epoch=1)
+    assert schedule_from_policy(inverse_sqrt, total_steps=3, batches_per_epoch=1).warmup_steps == 1
+    for total_steps in (1, 2):
+        with pytest.raises(InvalidArgumentError):
+            schedule_from_policy(inverse_sqrt, total_steps=total_steps, batches_per_epoch=1)
 
 
 def test_float_keys_take_json_integers_as_floats():
