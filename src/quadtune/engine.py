@@ -24,6 +24,8 @@ from .errors import InvalidArgumentError
 from .models import TASK_CLASSIFICATION, Mlp, Model
 from .optim import Optimizer, PendingStep
 
+LossAndGradient = tuple[float, np.ndarray]  # a batch's loss and gradient at the current params
+
 
 @dataclass(frozen=True, eq=False)
 class Superbatch:
@@ -66,9 +68,6 @@ class TrainingEngine:
         self.superbatch_rng = seeded_stream(seed, "superbatch")
         self.forward_passes = 0
         self.backward_passes = 0
-        # The next loss_and_gradient's result when it was computed ahead at the current params
-        # (a cohort's stacked step); it is served once, and a write to the params must drop it.
-        self.computed: Optional[tuple[float, np.ndarray]] = None
         self._saved_params = np.empty_like(model.params)  # perturbed_loss's restore point
         self._finite = np.empty(model.params.shape, dtype=bool)  # and its finiteness mask
         self._epoch = -1
@@ -95,14 +94,14 @@ class TrainingEngine:
 
     # -- losses and gradients -------------------------------------------------
 
-    def loss_and_gradient(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-        """The model's loss and gradient on the batch, or the result `computed` ahead; one forward and one backward."""
+    def loss_and_gradient(
+        self, x: np.ndarray, y: np.ndarray, computed: Optional[LossAndGradient] = None
+    ) -> LossAndGradient:
+        """The model's loss and gradient on the batch, or `computed`, that pair computed ahead
+        at the current params; either way one forward and one backward."""
         self.forward_passes += 1
         self.backward_passes += 1
-        computed, self.computed = self.computed, None
-        if computed is not None:
-            return computed
-        return self.model.loss_and_gradient(x, y)
+        return self.model.loss_and_gradient(x, y) if computed is None else computed
 
     def superbatch_loss(self, sb: Superbatch) -> float:
         """The model's mean loss on the superbatch's rows, counted as one forward
@@ -133,27 +132,17 @@ class TrainingEngine:
         finally:
             params[:] = saved
 
-    def superbatch(self, minibatch_indices) -> Superbatch:
-        """The superbatch of these distinct minibatch indices, its rows gathered once,
-        under the current epoch permutation."""
-        indices = tuple(sorted(map(int, minibatch_indices)))
-        if len(indices) == 0:
-            raise InvalidArgumentError("superbatch must contain at least one minibatch")
-        if len(set(indices)) != len(indices):
-            raise InvalidArgumentError("superbatch indices must be distinct")
-        if indices[0] < 0 or indices[-1] >= self.batches_per_epoch:
-            raise InvalidArgumentError("minibatch index out of range")
-        size = self.minibatch_size
-        rows = self._perm[: self.batches_per_epoch * size].reshape(-1, size)[list(indices)].reshape(-1)
-        return Superbatch(indices, self.dataset.train_x[rows], self.dataset.train_y[rows])
-
     def draw_superbatch(self, size: int) -> Superbatch:
-        """Sample `size` distinct minibatch indices from the superbatch stream."""
+        """`size` distinct minibatch indices sampled from the superbatch stream, in order,
+        and their rows gathered once, under the current epoch permutation."""
         if not 1 <= size <= self.batches_per_epoch:
             raise InvalidArgumentError(
                 f"superbatch size {size} not in [1, {self.batches_per_epoch}] minibatches"
             )
-        return self.superbatch(self.superbatch_rng.choice(self.batches_per_epoch, size=size, replace=False).tolist())
+        indices = sorted(self.superbatch_rng.choice(self.batches_per_epoch, size=size, replace=False).tolist())
+        mb = self.minibatch_size
+        rows = self._perm[: self.batches_per_epoch * mb].reshape(-1, mb)[indices].reshape(-1)
+        return Superbatch(tuple(indices), self.dataset.train_x[rows], self.dataset.train_y[rows])
 
     # -- committed steps -------------------------------------------------------
 

@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 import numpy as np
 
 from .datasets import Dataset, kind_args, make_dataset, seeded_stream
-from .engine import TrainingEngine
+from .engine import LossAndGradient, TrainingEngine
 from .errors import InvalidArgumentError
 from .models import (
     BLOCK_ELEMENTS,
@@ -187,14 +187,18 @@ class TrainingRun:
             self.schedule = schedule_from_policy(policy, self.total_steps, self.engine.batches_per_epoch)
 
         self.records: list[RunRecord] = []
-        self._step = 0
 
-    def step_once(self, batch: Optional[tuple[np.ndarray, np.ndarray]] = None) -> RunRecord:
-        """Take the next step, on `batch` when the caller has gathered its minibatch."""
-        step = self._step
+    def step_once(
+        self,
+        batch: Optional[tuple[np.ndarray, np.ndarray]] = None,
+        computed: Optional[LossAndGradient] = None,
+    ) -> RunRecord:
+        """Take the next step, on `batch` when the caller has gathered its minibatch, and with
+        `computed` when it has also computed the batch's loss and gradient at the current params."""
+        step = len(self.records)
         x, y = self.engine.batch_for_step(step) if batch is None else batch
         if self.tuner is not None:
-            outcome = self.tuner.run_step(step, x, y)
+            outcome = self.tuner.run_step(step, x, y, computed)
             lr = outcome.lr
             train_loss = outcome.train_loss
             sb_loss = outcome.superbatch_loss
@@ -207,7 +211,7 @@ class TrainingRun:
             mom = momentum_at(self.schedule, step, self.total_steps)
             if mom is not None:  # RunConfig accepts momentum_range only for the momentum optimizer
                 self.optimizer.mu = mom
-            train_loss, grads = self.engine.loss_and_gradient(x, y)
+            train_loss, grads = self.engine.loss_and_gradient(x, y, computed)
             pending = self.optimizer.compute_direction(self.model.params, grads)
             self.engine.commit(self.optimizer, pending, lr)
             sb_loss, event, probe_fwd = None, "", 0
@@ -228,14 +232,13 @@ class TrainingRun:
             event=event,
         )
         self.records.append(record)
-        self._step += 1
         return record
 
     def advance_to(self, step: int) -> None:
         """Train up to ``step``. A diverging step overflows; the non-finite gradient check
         ends the run, so numpy's warnings on the way there are not printed."""
         with np.errstate(over="ignore", invalid="ignore"):
-            while self._step < step:
+            while len(self.records) < step:
                 self.step_once()
 
     def run(self) -> list[RunRecord]:
@@ -286,7 +289,7 @@ def _train_cohort(
 
     Each later seed is built and takes its own first step. Every later step
     then runs one stacked `Mlp.loss_and_gradient` on all seeds' minibatches,
-    and each seed's `step_once` is served its share. A seed that raises drops
+    and each seed's `step_once` is passed its share. A seed that raises drops
     out with every seed after it, as if the seeds had run one after another.
     Returns the seeds that finished, in config order, and the earliest error.
     """
@@ -307,9 +310,8 @@ def _train_cohort(
             xs, ys = zip(*batches)
             losses, grads = stack.loss_and_gradient(np.array(xs), np.array(ys))
             for i, run in enumerate(runs):
-                run.engine.computed = float(losses[i]), grads[i]
                 try:
-                    run.step_once(batches[i])
+                    run.step_once(batches[i], (float(losses[i]), grads[i]))
                 except Exception as exc:
                     if i == 0:
                         raise

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .engine import Superbatch, TrainingEngine
+from .engine import LossAndGradient, Superbatch, TrainingEngine
 from .errors import InvalidArgumentError
 from .optim import Optimizer, Snapshot, restore_snapshot, take_snapshot
 from .quadprobe import (
@@ -297,7 +297,6 @@ class LearningRateTuner:
         if snap is None or rate_before is None or rate_after >= self.cfg.rollback_factor * rate_before:
             return False
         restore_snapshot(snap, self.engine.model.params, self.optimizer)
-        self.engine.computed = None  # it was computed at the params just replaced
         self.engine.restore_data_state(snap.rng_cursor)
         st.current_lr = snap.lr
         return True
@@ -343,10 +342,12 @@ class LearningRateTuner:
 
     # -- one training step ------------------------------------------------------------
 
-    def run_step(self, step: int, x, y) -> StepOutcome:
+    def run_step(self, step: int, x, y, computed: Optional[LossAndGradient] = None) -> StepOutcome:
         """Advance training by one committed step, recomputing lr at window boundaries.
 
-        The outcome is appended to ``state.log`` when the step measured a window or decided something.
+        ``computed`` is the batch's loss and gradient when the caller computed them ahead at
+        the current params; a rollback drops it. The outcome is appended to ``state.log`` when
+        the step measured a window or decided something.
         """
         cfg, st = self.cfg, self.state
         events: list[str] = []
@@ -360,6 +361,7 @@ class LearningRateTuner:
             rate = drop_rate(window.start_loss, window_loss, step - window.start_step)
             if self.maybe_rollback(rate):
                 events.append(EVENT_ROLLBACK)
+                computed = None  # it was computed at the params just replaced
                 # The restored params are this window's opening ones.
                 window_loss = window.start_loss
             else:
@@ -374,7 +376,7 @@ class LearningRateTuner:
             st.phase = phase
             events.append(EVENT_PHASE_SWITCH)
 
-        train_loss, grads = self.engine.loss_and_gradient(x, y)
+        train_loss, grads = self.engine.loss_and_gradient(x, y, computed)
         pending = self.optimizer.compute_direction(self.engine.model.params, grads)
 
         if closing and EVENT_ROLLBACK not in events:

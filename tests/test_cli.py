@@ -493,16 +493,54 @@ RUN_COMMANDS = [
 ]
 
 
+# Optimizer, data, run and tuner settings out of range on tuner_raw, each with its config error.
+SETTING_OUT_OF_RANGE = [
+    pytest.param("optimizer", {"weight_decay": -1.0}, "weight_decay must be nonnegative", id="weight_decay-negative"),
+    pytest.param("optimizer", {"momentum": 1.0}, "momentum mu must be in [0, 1)", id="momentum-1"),
+    pytest.param(None, {"optimizer": {"kind": "adam", "beta1": 1.0}}, "betas must be in [0, 1)", id="adam-beta1-1"),
+    pytest.param(None, {"optimizer": {"kind": "adam", "eps_stab": -1.0}}, "eps_stab must be nonnegative",
+                 id="adam-eps_stab-negative"),
+    pytest.param(None, {"optimizer": {"kind": "adamw", "eps_stab": -1.0}}, "eps_stab must be nonnegative",
+                 id="adamw-eps_stab-negative"),
+    pytest.param("optimizer", {"minibatch_size": 0}, "minibatch_size must be >= 1", id="minibatch_size-0"),
+    # 30 moons points leave 24 training rows, fewer than one minibatch of 32.
+    pytest.param("dataset", {"n": 30}, "dataset smaller than one minibatch", id="moons-n-30"),
+    pytest.param(None, {"eval_every": 0}, "eval_every must be a positive integer or null", id="eval_every-0"),
+    pytest.param("lr_policy", {"recompute_window": 0}, "recompute_window must be >= 1", id="recompute_window-0"),
+    pytest.param("lr_policy", {"superbatch_size": 0}, "superbatch_size must be >= 1", id="superbatch_size-0"),
+    pytest.param("lr_policy", {"epsilon_threshold": 0.0}, "epsilon_threshold_r must be positive",
+                 id="epsilon_threshold-0"),
+    pytest.param("lr_policy", {"span_fraction": 0.0}, "span_fraction must be in (0, 1]", id="span_fraction-0"),
+    pytest.param("lr_policy", {"explore_fraction": -0.1}, "explore_budget must be nonnegative",
+                 id="explore_fraction-negative"),
+]
+
+
+def exits_1_before_the_first_step(monkeypatch, capsys, command, raw, path) -> str:
+    """Run ``command`` on the config at ``path``; it must exit 1, take no step and make no
+    ``out_dir``. Returns its stderr."""
+    monkeypatch.setattr(TrainingRun, "step_once", lambda run: pytest.fail("a step was taken"))
+    assert main([command[0], "--config", path, *command[1:], "--quiet"]) == 1
+    assert not os.path.exists(raw["out_dir"])
+    return capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", RUN_COMMANDS, ids=lambda command: command[0])
 @pytest.mark.parametrize("policy", OUT_OF_RANGE)
 def test_a_schedule_out_of_range_exits_1_before_the_first_step(tmp_path, capsys, monkeypatch, command, policy):
-    monkeypatch.setattr(TrainingRun, "step_once", lambda run: pytest.fail("a step was taken"))
     raw = tuner_raw(tmp_path, lr_policy=policy)
-    path = write_config(tmp_path, raw)
-    assert main([command[0], "--config", path, *command[1:], "--quiet"]) == 1
-    err = capsys.readouterr().err
+    err = exits_1_before_the_first_step(monkeypatch, capsys, command, raw, write_config(tmp_path, raw))
     assert err.startswith("config error: ") and "Traceback" not in err
-    assert not os.path.exists(raw["out_dir"])
+
+
+@pytest.mark.parametrize("command", RUN_COMMANDS, ids=lambda command: command[0])
+@pytest.mark.parametrize("family,update,message", SETTING_OUT_OF_RANGE)
+def test_a_setting_out_of_range_exits_1_before_the_first_step(tmp_path, capsys, monkeypatch, command, family, update,
+                                                              message):
+    raw = tuner_raw(tmp_path)
+    (raw if family is None else raw[family]).update(update)
+    err = exits_1_before_the_first_step(monkeypatch, capsys, command, raw, write_config(tmp_path, raw))
+    assert err == f"config error: {message}\n"
 
 
 def test_step_boundaries_inside_the_run_train(tmp_path):
@@ -532,12 +570,9 @@ def test_a_warmup_that_ends_inside_the_run_trains(tmp_path, policy, warmup, last
                                        ("span_fraction", 0.5)])
 def test_a_schedule_policy_takes_no_probe_key(tmp_path, capsys, monkeypatch, command, key, value):
     # Probe settings belong to a tuner policy; a schedule run's quadcheck uses the tuner's defaults.
-    monkeypatch.setattr(TrainingRun, "step_once", lambda run: pytest.fail("a step was taken"))
     raw = tuner_raw(tmp_path, lr_policy=dict(COSINE, **{key: value}))
-    path = write_config(tmp_path, raw)
-    assert main([command[0], "--config", path, *command[1:], "--quiet"]) == 1
-    assert capsys.readouterr().err == f"config error: unknown key '{key}' in cosine lr_policy\n"
-    assert not os.path.exists(raw["out_dir"])
+    err = exits_1_before_the_first_step(monkeypatch, capsys, command, raw, write_config(tmp_path, raw))
+    assert err == f"config error: unknown key '{key}' in cosine lr_policy\n"
 
 
 @pytest.mark.parametrize("command,below", [

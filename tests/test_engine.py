@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from quadtune.datasets import make_blobs, make_bowl_dataset, make_linear_regression, make_moons, seeded_stream
-from quadtune.engine import TrainingEngine
+from quadtune.engine import Superbatch, TrainingEngine
 from quadtune.errors import InvalidArgumentError
 from quadtune.models import LinearRegression, LogisticRegression, Mlp, QuadraticBowl
 from quadtune.optim import Momentum, Sgd, restore_snapshot, take_snapshot
@@ -31,31 +31,37 @@ def test_rng_streams_independent_and_replayable():
             seeded_stream(7, purpose)
 
 
-def test_superbatch_normalizes_and_validates():
+def gathered(engine, indices):
+    """A superbatch of these minibatch indices, its rows gathered from `engine.minibatch`."""
+    x, y = (np.concatenate(part) for part in zip(*map(engine.minibatch, indices)))
+    return Superbatch(tuple(indices), x, y)
+
+
+def test_a_drawn_superbatch_holds_its_minibatches_rows_in_index_order():
     engine = make_engine()
-    sb = engine.superbatch([3, 1, 2])
-    assert sb.minibatch_indices == (1, 2, 3)
-    x, y = (np.concatenate(part) for part in zip(*map(engine.minibatch, (1, 2, 3))))
-    assert sb.x.tobytes() == x.tobytes() and sb.y.tobytes() == y.tobytes()
-    with pytest.raises(InvalidArgumentError):
-        engine.superbatch([])
-    with pytest.raises(InvalidArgumentError):
-        engine.superbatch([1, 1, 2])
+    state = engine.superbatch_rng.bit_generator.state
+    sb = engine.draw_superbatch(5)
+    engine.superbatch_rng.bit_generator.state = state
+    sampled = engine.superbatch_rng.choice(engine.batches_per_epoch, size=5, replace=False).tolist()
+    assert sampled != sorted(sampled)  # the stream's order is not the superbatch's
+    assert sb.minibatch_indices == tuple(sorted(sampled))
+    expected = gathered(engine, sb.minibatch_indices)
+    assert sb.x.tobytes() == expected.x.tobytes() and sb.y.tobytes() == expected.y.tobytes()
 
 
 def test_superbatch_of_one_equals_the_model_loss():
     engine = make_engine()
     x, y = engine.minibatch(0)
-    assert engine.superbatch_loss(engine.superbatch([0])) == engine.model.loss(x, y)
+    assert engine.superbatch_loss(gathered(engine, [0])) == engine.model.loss(x, y)
 
 
 def test_superbatch_is_mean_of_minibatch_losses():
     engine = make_engine()
-    indices = [7, 0, 3, 15, 9, 1, 12, 4, 10, 6, 13, 2]
+    indices = [0, 1, 2, 3, 4, 6, 7, 9, 10, 12, 13, 15]
     total = 0.0
-    for i in sorted(indices):
+    for i in indices:
         total += engine.model.loss(*engine.minibatch(i))
-    assert engine.superbatch_loss(engine.superbatch(indices)) == pytest.approx(total / len(indices), rel=1e-12, abs=0)
+    assert engine.superbatch_loss(gathered(engine, indices)) == pytest.approx(total / len(indices), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize(
@@ -81,26 +87,10 @@ def test_superbatch_loss_is_the_model_loss_on_its_rows(make_model, dataset):
     assert loss == pytest.approx(sum(loop) / len(loop), rel=1e-12, abs=0)
 
 
-def test_superbatch_index_out_of_range_is_rejected():
-    engine = make_engine()  # 16 train batches
-    engine.superbatch_loss(engine.superbatch([engine.batches_per_epoch - 1]))
-    for indices in ([engine.batches_per_epoch], [999], [0, 999], [-1, 3]):
-        with pytest.raises(InvalidArgumentError):
-            engine.superbatch(indices)
-
-
-def test_superbatch_value_order_invariant():
-    engine = make_engine()
-    a = engine.superbatch_loss(engine.superbatch([0, 5, 9]))
-    b = engine.superbatch_loss(engine.superbatch([9, 0, 5]))
-    assert a == b  # indices are normalized, evaluation order is identical
-
-
 def test_full_epoch_superbatch_equals_example_mean():
     engine = make_engine(n=320, mb=32)
     engine._advance_to_epoch(0)
-    sb = engine.superbatch(range(engine.batches_per_epoch))
-    full = engine.superbatch_loss(sb)
+    full = engine.superbatch_loss(engine.draw_superbatch(engine.batches_per_epoch))
     rows = engine._perm[: engine.batches_per_epoch * engine.minibatch_size]
     x = engine.dataset.train_x[rows]
     y = engine.dataset.train_y[rows]
@@ -241,7 +231,7 @@ def test_superbatch_loss_never_serves_stale_rows():
                 assert engine.superbatch_loss(sb) == reference(rows)
             elif op == "again":
                 # The same indices gathered now name the current permutation's rows.
-                drawn.append(pinned(engine.superbatch(sb.minibatch_indices)))
+                drawn.append(pinned(gathered(engine, sb.minibatch_indices)))
                 assert engine.superbatch_loss(drawn[-1][0]) == reference(drawn[-1][1])
             elif op == "perturbed":
                 direction = np.array([1.0, -2.0, 0.5])
@@ -273,13 +263,12 @@ def test_cost_counters():
     assert engine.backward_passes == 1
 
 
-def test_a_result_computed_ahead_is_served_once_and_counted_as_one_pass():
+def test_a_result_computed_ahead_is_returned_and_counted_as_one_pass():
     engine = make_engine()
     x, y = engine.minibatch(0)
     computed = (0.5, np.arange(3.0))
-    engine.computed = computed
-    assert engine.loss_and_gradient(x, y) is computed
-    assert engine.computed is None and (engine.forward_passes, engine.backward_passes) == (1, 1)
+    assert engine.loss_and_gradient(x, y, computed) is computed
+    assert (engine.forward_passes, engine.backward_passes) == (1, 1)
     loss, grad = engine.loss_and_gradient(x, y)
     assert (loss, grad.tolist()) == (engine.model.loss(x, y), engine.model.gradient(x, y).tolist())
     assert (engine.forward_passes, engine.backward_passes) == (2, 2)

@@ -286,9 +286,9 @@ def _measure_reused_starts_again(run, measured):
 
     def commit_after_measuring_again(*args):
         window = run.tuner._window
-        if 0 < window.start_step == run._step:
+        if 0 < window.start_step == len(run.records):
             window.start_loss = run.engine.superbatch_loss(window.superbatch)
-            measured.append(run._step)
+            measured.append(len(run.records))
         commit(*args)
 
     run.engine.commit = commit_after_measuring_again
@@ -333,7 +333,7 @@ def test_each_close_measures_the_rows_its_window_opened_on():
 
     def spy_loss(x, y):
         if not probing:
-            evaluated.append((run._step, x.tobytes(), y.tobytes()))
+            evaluated.append((len(run.records), x.tobytes(), y.tobytes()))
         return loss(x, y)
 
     def spy_perturbed_loss(*args):

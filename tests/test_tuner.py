@@ -444,6 +444,31 @@ class TestRollbackBitExact:
         assert model.params.tobytes() == expected.tobytes()
         assert tuner.state.current_lr == snap.lr
 
+    def test_a_rollback_drops_the_result_computed_at_the_replaced_params(self):
+        # A cohort passes each step's loss and gradient computed ahead. At a close that
+        # rolls back, they belong to the params the rollback replaced: the step must
+        # train on the restored params' own loss and gradient.
+        tuner, engine, model = bowl_tuner(seed_lr=0.01, window=5, explore=0.9)
+        drive(tuner, engine, 6)
+        from quadtune.optim import take_snapshot
+
+        st = tuner.state
+        snap = take_snapshot(model.params, tuner.optimizer, lr=st.current_lr,
+                             step_index=6, rng_cursor=engine.data_state())
+        st.last_change_snapshot = snap
+        st.drop_rate_before_change = 10.0
+        st.current_lr = 2.0
+        tuner._window = None
+        drive_range(tuner, engine, 6, 10)
+        x, y = engine.batch_for_step(10)
+        wrong = (123.0, np.full(2, 7.0))
+        out = tuner.run_step(10, x, y, wrong)
+        assert out.events == [EVENT_ROLLBACK]
+        restored = QuadraticBowl(np.diag([1.0, 10.0]), theta0=list(snap.params))
+        loss, grad = restored.loss_and_gradient(x, y)
+        assert out.train_loss == loss
+        assert model.params.tobytes() == (snap.params - snap.lr * grad).tobytes()
+
 
 class TestPhaseConsistencyEndToEnd:
     def test_lr_monotone_by_phase_on_moons(self):

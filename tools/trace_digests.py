@@ -15,18 +15,28 @@ checkout that holds this script, and equal output means equal bits:
     python3 tools/trace_digests.py --seeds 11-13 --root ../parent > parent.txt
     python3 tools/trace_digests.py --seeds 11-13 > change.txt
     diff parent.txt change.txt
+
+`--parent REV` does both in one command: it checks REV out into a temporary
+`git worktree`, trains the same runs from it and from `--root`, prints only
+the lines that differ (`-` REV's, `+` the other's) and exits 1 on any
+difference, 0 when every line is equal:
+
+    python3 tools/trace_digests.py --seeds 11-13 --parent HEAD~1
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import itertools
 import json
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
@@ -75,10 +85,45 @@ def digests(label: str, out_dir: Path) -> list[str]:
     return lines
 
 
+def run_digests(root: Path, runs: list[tuple[str, dict]]) -> Iterator[str]:
+    """Train each labelled config from ``root``'s `src/` and yield its digest lines."""
+    with tempfile.TemporaryDirectory(prefix="trace_digests_") as tmp:
+        for i, (label, config) in enumerate(runs):
+            out_dir = Path(tmp) / str(i)
+            train(root, config, out_dir)
+            yield from digests(label, out_dir)
+
+
+def differing(parent: list[str], change: list[str]) -> list[str]:
+    """The lines at which two digest listings differ, in order: the parent's marked `-`, the change's `+`."""
+    lines = []
+    for old, new in itertools.zip_longest(parent, change):
+        if old == new:
+            continue
+        if old is not None:
+            lines.append(f"- {old}")
+        if new is not None:
+            lines.append(f"+ {new}")
+    return lines
+
+
+@contextlib.contextmanager
+def checked_out(rev: str) -> Iterator[Path]:
+    """A temporary `git worktree` of this checkout at ``rev``, removed on exit."""
+    with tempfile.TemporaryDirectory(prefix="trace_digests_parent_") as tmp:
+        tree = Path(tmp) / "tree"
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--quiet", "--detach", str(tree), rev], check=True)
+        try:
+            yield tree
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)], check=True)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--seeds", default="11-13", help="workload seeds, e.g. 11-13 or 11,12 (default 11-13)")
     parser.add_argument("--root", type=Path, default=ROOT, help="checkout whose src/ is trained (default: this one)")
+    parser.add_argument("--parent", metavar="REV", help="compare with this git revision; print only differing lines")
     args = parser.parse_args(argv)
     root = args.root.resolve()
 
@@ -86,12 +131,16 @@ def main(argv: list[str] | None = None) -> int:
             for name, workload in WORKLOADS.items()]
     runs += [(path.stem, json.loads(path.read_text(encoding="utf-8")))
              for path in sorted((ROOT / "configs").glob("*.json"))]
-    with tempfile.TemporaryDirectory(prefix="trace_digests_") as tmp:
-        for i, (label, config) in enumerate(runs):
-            out_dir = Path(tmp) / str(i)
-            train(root, config, out_dir)
-            print("\n".join(digests(label, out_dir)), flush=True)
-    return 0
+    if args.parent is None:
+        for line in run_digests(root, runs):
+            print(line, flush=True)
+        return 0
+    with checked_out(args.parent) as parent_root:
+        parent = list(run_digests(parent_root, runs))
+    lines = differing(parent, list(run_digests(root, runs)))
+    for line in lines:
+        print(line)
+    return 1 if lines else 0
 
 
 if __name__ == "__main__":
