@@ -80,11 +80,16 @@ class TrainingEngine:
             self._perm = self.shuffle_rng.permutation(self.dataset.train_x.shape[0])
             self._epoch += 1
 
+    def rows_for_step(self, step: int) -> np.ndarray:
+        """Training-set row indices of a global step's minibatch; reshuffles at epoch boundaries."""
+        self._advance_to_epoch(step // self.batches_per_epoch)
+        start = step % self.batches_per_epoch * self.minibatch_size
+        return self._perm[start : start + self.minibatch_size]
+
     def batch_for_step(self, step: int) -> tuple[np.ndarray, np.ndarray]:
-        """Minibatch for a global step index; reshuffles at epoch boundaries."""
-        epoch = step // self.batches_per_epoch
-        self._advance_to_epoch(epoch)
-        return self.minibatch(step % self.batches_per_epoch)
+        """Minibatch for a global step index: the rows `rows_for_step` names."""
+        rows = self.rows_for_step(step)
+        return self.dataset.train_x[rows], self.dataset.train_y[rows]
 
     def minibatch(self, index: int) -> tuple[np.ndarray, np.ndarray]:
         if not 0 <= index < self.batches_per_epoch:

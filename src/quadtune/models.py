@@ -4,8 +4,8 @@ All models store their parameters in one flat float64 array (``params``) and
 implement mean per-example loss plus its exact gradient: squared error / 2
 for regression, softmax cross-entropy for classification. Means are written
 as a sum over the rows divided by their count, which is what ``np.mean``
-computes, without its Python wrapper; `Mlp.loss_and_gradient` calls the
-ufunc reductions themselves, skipping the array methods' wrappers too. The
+computes, without its Python wrapper; the losses call the ufunc reductions
+themselves (`_row_mean`), skipping the array methods' wrappers too. The
 quadratic bowl is a data-free objective on the parameters themselves, used
 as an analytic oracle in tests.
 
@@ -78,6 +78,12 @@ def _row_index(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     return index
 
 
+def _row_mean(rows: np.ndarray):
+    """The mean over the last axis: a float for one model's rows, an array of one per seed for a stack's."""
+    mean = np.add.reduce(rows, -1) / rows.shape[-1]
+    return float(mean) if mean.ndim == 0 else mean
+
+
 class Model:
     """Base: flat parameter vector plus loss/gradient over a batch."""
 
@@ -85,6 +91,28 @@ class Model:
 
     def __init__(self, n_params: int):
         self.params = np.zeros(n_params, dtype=np.float64)
+
+    def _bind(self, params: np.ndarray) -> None:
+        """Make ``params`` this model's parameter array; a subclass rebuilds its views of it."""
+        self.params = params
+
+    @classmethod
+    def stack(cls, models: list[Model]) -> Model:
+        """One model whose params are the models' params as rows of one array.
+
+        Only for a model whose methods take a leading seed axis. Each model's
+        ``params`` becomes its row, with its values, so a write to either
+        reaches both. A stacked `loss_and_gradient` over a
+        seeds x rows x features batch runs each seed's matrix products as
+        their own BLAS calls with unchanged sizes, and every other operation
+        per seed along the same axes, so each seed's loss and gradient have
+        the bits of its own call.
+        """
+        stacked = copy.copy(models[0])
+        stacked._bind(np.array([m.params for m in models]))
+        for model, row in zip(models, stacked.params):
+            model._bind(row)
+        return stacked
 
     def loss(self, x: np.ndarray, y: np.ndarray) -> float:
         raise NotImplementedError
@@ -100,7 +128,12 @@ class Model:
 
 
 class LinearRegression(Model):
-    """y_hat = x @ w + b with loss mean(0.5 * (y_hat - y)^2)."""
+    """y_hat = x @ w + b with loss mean(0.5 * (y_hat - y)^2).
+
+    Every method also takes a leading seed axis (see `Model.stack`): a
+    stack's params are seeds x parameters, its batch seeds x rows x features,
+    and it returns a prediction row, a loss and a gradient row per seed.
+    """
 
     task = TASK_REGRESSION
 
@@ -109,22 +142,22 @@ class LinearRegression(Model):
         self.n_features = n_features
 
     def _unpack(self):
-        return self.params[: self.n_features], self.params[self.n_features]
+        return self.params[..., : self.n_features], self.params[..., self.n_features]
 
     def predict(self, x):
         w, b = self._unpack()
-        return x @ w + b
+        return (x @ w[..., None])[..., 0] + b[..., None]
 
     def loss(self, x, y):
         r = self.predict(x) - y
-        return float((0.5 * r * r).sum() / len(r))
+        return _row_mean(0.5 * r * r)
 
     def gradient(self, x, y):
-        n = x.shape[0]
+        n = x.shape[-2]
         r = self.predict(x) - y
         grad = np.empty_like(self.params)
-        grad[: self.n_features] = x.T @ r / n
-        grad[self.n_features] = r.sum() / n
+        grad[..., : self.n_features] = (x.swapaxes(-1, -2) @ r[..., None])[..., 0] / n
+        grad[..., self.n_features] = np.add.reduce(r, -1) / n
         return grad
 
 
@@ -137,10 +170,10 @@ class Mlp(Model):
 
     The per-layer weight/bias views into ``params`` are built once, so
     ``params`` must be written in place (``params[:] = v``), never rebound
-    but by `stack`; copies and unpickled models rebuild their views.
+    but by `Model.stack`; copies and unpickled models rebuild their views.
 
-    ``params`` may be one row of a stack's (see `stack`). A stacked Mlp's
-    params are seeds x parameters, and its `loss_and_gradient` takes a
+    ``params`` may be one row of a stack's (see `Model.stack`). A stacked
+    Mlp's params are seeds x parameters, and its `loss_and_gradient` takes a
     seeds x rows x features batch and returns a loss per seed and a gradient
     row per seed, each with the bits of that seed's own call. Every other
     method takes the unstacked shapes.
@@ -180,25 +213,8 @@ class Mlp(Model):
         self._bind(self.params)
 
     def _bind(self, params: np.ndarray) -> None:
-        self.params = params
+        super()._bind(params)
         self._layers = self._split(params)
-
-    @classmethod
-    def stack(cls, models: list[Mlp]) -> Mlp:
-        """One Mlp whose params are the models' params as rows of one array.
-
-        Each model's ``params`` becomes its row, with its values, so a write to
-        either reaches both. A stacked `loss_and_gradient` over a
-        seeds x rows x features batch runs each seed's matrix products as
-        their own BLAS calls with unchanged sizes, and every other operation
-        per seed along the same axes, so each seed's loss and gradient have
-        the bits of its own call.
-        """
-        stacked = copy.copy(models[0])
-        stacked._bind(np.array([m.params for m in models]))
-        for model, row in zip(models, stacked.params):
-            model._bind(row)
-        return stacked
 
     def _split(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per-layer (weight, bias) views into a vector laid out like `params`, or
@@ -307,13 +323,12 @@ class Mlp(Model):
         return self._predictions(self.logits(x))
 
     def loss(self, x, y):
-        rows, _ = self._row_losses(self.logits(x), y)
-        return float(rows.sum() / len(rows))
+        return _row_mean(self._row_losses(self.logits(x), y)[0])
 
     def loss_and_predict(self, x, y):
         """Loss and predictions from one forward pass."""
         out = self.logits(x)
-        return float(self._row_losses(out, y)[0].sum() / len(out)), self._predictions(out)
+        return _row_mean(self._row_losses(out, y)[0]), self._predictions(out)
 
     def gradient(self, x, y):
         return self.loss_and_gradient(x, y)[1]
@@ -331,8 +346,7 @@ class Mlp(Model):
             if i > 0:
                 delta = delta @ self._layers[i][0].swapaxes(-1, -2)
                 delta *= inputs[i] > 0.0
-        loss = np.add.reduce(rows, -1) / rows.shape[-1]
-        return (float(loss) if loss.ndim == 0 else loss), grad
+        return _row_mean(rows), grad
 
 
 class LogisticRegression(Mlp):

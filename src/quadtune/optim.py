@@ -129,8 +129,8 @@ class Adam(Optimizer):
         super().__init__(weight_decay)
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise InvalidArgumentError("betas must be in [0, 1)")
-        if eps_stab < 0.0:
-            raise InvalidArgumentError("eps_stab must be nonnegative")
+        if eps_stab <= 0.0:  # 0 makes the direction of a zero gradient 0/0
+            raise InvalidArgumentError("eps_stab must be positive")
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps_stab = float(eps_stab)

@@ -282,14 +282,19 @@ def aggregate_summaries(per_seed: list[dict[str, Any]]) -> dict[str, Any]:
     return aggregate
 
 
+# Models whose methods take a leading seed axis, so that a command's seeds can train as one cohort.
+SEED_AXIS_MODELS = (LinearRegression, Mlp)
+
+
 def _train_cohort(
     first: TrainingRun, cfg: RunConfig, dataset: Dataset
 ) -> tuple[list[TrainingRun], Optional[Exception]]:
     """Train every seed in lockstep; `first`, seed 0's run, has taken its first step.
 
     Each later seed is built and takes its own first step. Every later step
-    then runs one stacked `Mlp.loss_and_gradient` on all seeds' minibatches,
-    and each seed's `step_once` is passed its share. A seed that raises drops
+    then gathers all seeds' minibatch rows with one index of the training
+    set, runs one stacked `loss_and_gradient` on them (see `Model.stack`),
+    and passes each seed's `step_once` its share. A seed that raises drops
     out with every seed after it, as if the seeds had run one after another.
     Returns the seeds that finished, in config order, and the earliest error.
     """
@@ -303,21 +308,22 @@ def _train_cohort(
             error = exc
             break
         runs.append(run)
-    stack = Mlp.stack([run.model for run in runs])
+    stack = type(first.model).stack
+    stacked = stack([run.model for run in runs])
     with np.errstate(over="ignore", invalid="ignore"):  # as in advance_to
         for step in range(1, first.total_steps):
-            batches = [run.engine.batch_for_step(step) for run in runs]
-            xs, ys = zip(*batches)
-            losses, grads = stack.loss_and_gradient(np.array(xs), np.array(ys))
+            rows = np.array([run.engine.rows_for_step(step) for run in runs])
+            xs, ys = dataset.train_x[rows], dataset.train_y[rows]
+            losses, grads = stacked.loss_and_gradient(xs, ys)
             for i, run in enumerate(runs):
                 try:
-                    run.step_once(batches[i], (float(losses[i]), grads[i]))
+                    run.step_once((xs[i], ys[i]), (float(losses[i]), grads[i]))
                 except Exception as exc:
                     if i == 0:
                         raise
                     error = exc
                     del runs[i:]
-                    stack = Mlp.stack([run.model for run in runs])
+                    stacked = stack([run.model for run in runs])
                     break
     return runs, error
 
@@ -328,11 +334,11 @@ def run_all_seeds(
     """Run every configured seed on one dataset; returns traces plus the cross-seed summary.
 
     The first seed is built and takes its first step before any other seed is
-    built. When the model is an `Mlp` and all seeds' parameters together fit
-    one row block (seeds x parameters at most `BLOCK_ELEMENTS`), the seeds then
-    train as one cohort (`_train_cohort`), with the traces and summaries of
-    seeds run one after another, bit for bit. Otherwise each seed trains to
-    its end before the next one is built.
+    built. When the model takes a seed axis (`SEED_AXIS_MODELS`) and all
+    seeds' parameters together fit one row block (seeds x parameters at most
+    `BLOCK_ELEMENTS`), the seeds then train as one cohort (`_train_cohort`),
+    with the traces and summaries of seeds run one after another, bit for
+    bit. Otherwise each seed trains to its end before the next one is built.
 
     With `on_trace`, each seed's records go to `on_trace(seed, records)` when
     that seed ends (a cohort's seeds end together, in config order) and are
@@ -346,7 +352,8 @@ def run_all_seeds(
     dataset = make_dataset(cfg.dataset)
     run = TrainingRun(cfg, cfg.seeds[0], dataset)
     run.advance_to(1)
-    if len(cfg.seeds) > 1 and isinstance(run.model, Mlp) and len(cfg.seeds) * run.model.params.size <= BLOCK_ELEMENTS:
+    stacks = isinstance(run.model, SEED_AXIS_MODELS) and len(cfg.seeds) * run.model.params.size <= BLOCK_ELEMENTS
+    if len(cfg.seeds) > 1 and stacks:
         runs, error = _train_cohort(run, cfg, dataset)
         for run in runs:
             keep(run.seed, run.records)

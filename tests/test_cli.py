@@ -16,7 +16,7 @@ from quadtune.cli import main, write_trace
 from quadtune.config import RunConfig
 from quadtune.datasets import DATASETS
 from quadtune.errors import InvalidArgumentError, QuadtuneError
-from quadtune.models import Mlp
+from quadtune.models import Model
 from quadtune.quadprobe import epsilon_bound, probe_points
 from quadtune.runner import CSV_COLUMNS, LR_POLICIES, MODELS, OPTIMIZERS, RunRecord, TrainingRun
 from quadtune.schedules import lr_at
@@ -63,6 +63,8 @@ def tuner_raw(tmp_path, **overrides):
 
 
 LINREG_DATA = {"kind": "linreg", "n": 600, "dim": 4, "noise": 0.1, "seed": 4}
+LINREG_COSINE = {"dataset": LINREG_DATA, "model": {"kind": "linreg"},
+                 "lr_policy": {"kind": "schedule", "variant": "cosine", "seed_lr": 0.05}}
 
 
 def read_csv(path):
@@ -200,9 +202,9 @@ class TestTrainCommand:
         assert bytes_a == bytes_b
 
     def test_each_trace_is_written_when_its_seed_ends(self, tmp_path, monkeypatch, capsys):
-        # linreg is no Mlp, so its seeds do not stack: each one trains to its end before the next.
-        raw = schedule_raw(tmp_path, seeds=[1, 2, 3], dataset=LINREG_DATA, model={"kind": "linreg"},
-                           lr_policy=dict(COSINE, seed_lr=0.05))
+        # A bowl takes no seed axis, so its seeds do not stack: each one trains to its end before the next.
+        raw = schedule_raw(tmp_path, seeds=[1, 2, 3], dataset={"kind": "bowl", "n": 64},
+                           model={"kind": "bowl", "diag": [1.0, 10.0]}, lr_policy=dict(COSINE, seed_lr=0.05))
         path = write_config(tmp_path, raw)
         assert main(["train", "--config", path, "--out", os.path.join(str(tmp_path), "full"), "--quiet"]) == 0
         out = Path(raw["out_dir"])
@@ -223,22 +225,28 @@ class TestTrainCommand:
         for name in ("trace_seed1.csv", "trace_seed2.csv"):
             assert (out / name).read_bytes() == Path(tmp_path, "full", name).read_bytes()
 
-    @pytest.mark.parametrize("failures,error,stepped,kept", [
-        ({(3, 40)}, "seed 3 fails", {1, 2, 3}, ["trace_seed1.csv", "trace_seed2.csv"]),
-        ({(2, 40)}, "seed 2 fails", {1, 2, 3}, ["trace_seed1.csv"]),
-        ({(3, 10), (2, 40)}, "seed 2 fails", {1, 2, 3}, ["trace_seed1.csv"]),
-        ({(1, 40), (3, 10)}, "seed 1 fails", {1, 2, 3}, []),
-        ({(2, 0)}, "seed 2 fails", {1, 2}, ["trace_seed1.csv"]),
-        ({(1, 0), (2, 0)}, "seed 1 fails", {1}, []),
+    @pytest.mark.parametrize("failures,error,stepped,kept,model", [
+        ({(3, 40)}, "seed 3 fails", {1, 2, 3}, ["trace_seed1.csv", "trace_seed2.csv"], {}),
+        ({(2, 40)}, "seed 2 fails", {1, 2, 3}, ["trace_seed1.csv"], {}),
+        ({(3, 10), (2, 40)}, "seed 2 fails", {1, 2, 3}, ["trace_seed1.csv"], {}),
+        ({(1, 40), (3, 10)}, "seed 1 fails", {1, 2, 3}, [], {}),
+        ({(2, 0)}, "seed 2 fails", {1, 2}, ["trace_seed1.csv"], {}),
+        ({(1, 0), (2, 0)}, "seed 1 fails", {1}, [], {}),
+        ({(3, 40)}, "seed 3 fails", {1, 2, 3}, ["trace_seed1.csv", "trace_seed2.csv"], LINREG_COSINE),
+        ({(3, 10), (2, 40)}, "seed 2 fails", {1, 2, 3}, ["trace_seed1.csv"], LINREG_COSINE),
+        ({(1, 40), (3, 10)}, "seed 1 fails", {1, 2, 3}, [], LINREG_COSINE),
     ], ids=["seed-3-at-step-40", "seed-2-at-step-40", "seed-2-at-step-40-after-seed-3-at-10",
-            "seed-1-at-step-40-after-seed-3-at-10", "seed-2-at-step-0", "seed-1-at-step-0"])
+            "seed-1-at-step-40-after-seed-3-at-10", "seed-2-at-step-0", "seed-1-at-step-0",
+            "linreg-seed-3-at-step-40", "linreg-seed-2-at-step-40-after-seed-3-at-10",
+            "linreg-seed-1-at-step-40-after-seed-3-at-10"])
     def test_a_failing_seed_ends_a_cohort_as_if_the_seeds_ran_in_turn(
-        self, tmp_path, monkeypatch, capsys, failures, error, stepped, kept
+        self, tmp_path, monkeypatch, capsys, failures, error, stepped, kept, model
     ):
-        # logreg is an Mlp, so the 3 seeds stack and end together, after 50 steps. The earliest
-        # seed that raises decides the error, the seeds before it keep their traces, and a
-        # failure at the first seed's first step ends the command before another seed is built.
-        raw = schedule_raw(tmp_path, seeds=[1, 2, 3], epochs=5)
+        # logreg (an Mlp) and linreg take a seed axis, so the 3 seeds stack and end together,
+        # after 50 or more steps. The earliest seed that raises decides the error, the seeds before
+        # it keep their traces, and a failure at the first seed's first step ends the command
+        # before another seed is built.
+        raw = schedule_raw(tmp_path, seeds=[1, 2, 3], epochs=5, **model)
         path = write_config(tmp_path, raw)
         assert main(["train", "--config", path, "--out", os.path.join(str(tmp_path), "full"), "--quiet"]) == 0
         out = Path(raw["out_dir"])
@@ -423,8 +431,9 @@ def test_every_command_rejects_an_unknown_key(tmp_path, capsys, command):
     pytest.param({}, True, True, id="moons-tuner-mlp"),
     pytest.param({"optimizer": {"kind": "adamw", "weight_decay": 0.01, "minibatch_size": 32}}, True, True,
                  id="moons-adamw-tuner"),
-    pytest.param({"dataset": LINREG_DATA, "model": {"kind": "linreg"}, "lr_policy": dict(COSINE, seed_lr=0.05)},
-                 False, False, id="linreg"),
+    pytest.param(LINREG_COSINE, True, False, id="linreg"),
+    pytest.param({"dataset": LINREG_DATA, "model": {"kind": "linreg"},
+                  "optimizer": {"kind": "adam", "minibatch_size": 16}}, True, True, id="linreg-adam-tuner"),
     # 4 x 17282 parameters exceed BLOCK_ELEMENTS (65536).
     pytest.param({"model": {"kind": "mlp", "hidden": [128, 128]}, "seeds": [1, 2, 3, 4]}, False, True,
                  id="mlp-stack-over-the-block"),
@@ -433,13 +442,13 @@ def test_each_seed_of_a_command_equals_that_seed_run_alone(tmp_path, monkeypatch
     raw = tuner_raw(tmp_path, **dict({"seeds": [1, 2, 3]}, **overrides))
     path = write_config(tmp_path, raw)
     stacked = []
-    stack = Mlp.stack.__func__
+    stack = Model.stack.__func__
 
     def counted_stack(cls, models):
         stacked.append(len(models))
         return stack(cls, models)
 
-    monkeypatch.setattr(Mlp, "stack", classmethod(counted_stack))
+    monkeypatch.setattr(Model, "stack", classmethod(counted_stack))
     assert main(["train", "--config", path, "--quiet"]) == 0
     assert stacked == ([len(raw["seeds"])] if stacks else [])
     out = Path(raw["out_dir"])
@@ -498,10 +507,15 @@ SETTING_OUT_OF_RANGE = [
     pytest.param("optimizer", {"weight_decay": -1.0}, "weight_decay must be nonnegative", id="weight_decay-negative"),
     pytest.param("optimizer", {"momentum": 1.0}, "momentum mu must be in [0, 1)", id="momentum-1"),
     pytest.param(None, {"optimizer": {"kind": "adam", "beta1": 1.0}}, "betas must be in [0, 1)", id="adam-beta1-1"),
-    pytest.param(None, {"optimizer": {"kind": "adam", "eps_stab": -1.0}}, "eps_stab must be nonnegative",
+    pytest.param(None, {"optimizer": {"kind": "adam", "eps_stab": -1.0}}, "eps_stab must be positive",
                  id="adam-eps_stab-negative"),
-    pytest.param(None, {"optimizer": {"kind": "adamw", "eps_stab": -1.0}}, "eps_stab must be nonnegative",
+    pytest.param(None, {"optimizer": {"kind": "adamw", "eps_stab": -1.0}}, "eps_stab must be positive",
                  id="adamw-eps_stab-negative"),
+    # At eps_stab 0 a gradient entry of exactly 0 gets the direction 0/0.
+    pytest.param(None, {"optimizer": {"kind": "adam", "eps_stab": 0.0}}, "eps_stab must be positive",
+                 id="adam-eps_stab-0"),
+    pytest.param(None, {"optimizer": {"kind": "adamw", "eps_stab": 0.0}}, "eps_stab must be positive",
+                 id="adamw-eps_stab-0"),
     pytest.param("optimizer", {"minibatch_size": 0}, "minibatch_size must be >= 1", id="minibatch_size-0"),
     # 30 moons points leave 24 training rows, fewer than one minibatch of 32.
     pytest.param("dataset", {"n": 30}, "dataset smaller than one minibatch", id="moons-n-30"),

@@ -440,3 +440,34 @@ def test_a_stacked_step_gives_each_seed_the_bits_of_its_own_call(sizes, task, ro
         assert grads[i].tobytes() == alone[i][1].tobytes()
     models[0].params[0] += 1.0
     assert stacked.params[0, 0] == models[0].params[0] and stacked._layers[0][0][0, 0, 0] == models[0].params[0]
+
+
+@pytest.mark.parametrize("features,rows,seeds", [(1, 3, 2), (1, 33, 5), (4, 7, 3), (11, 199, 5), (3, 17, 1)])
+def test_a_stacked_linreg_gives_each_seed_the_bits_of_its_own_call(features, rows, seeds):
+    rng = np.random.default_rng(features * rows + seeds)
+    models = [LinearRegression(features) for _ in range(seeds)]
+    for model in models:
+        model.params[:] = rng.normal(size=model.params.shape)
+    x = rng.normal(size=(seeds, rows, features))
+    y = rng.normal(size=(seeds, rows))
+    alone = [(model.predict(x[i]), model.loss(x[i], y[i]), model.gradient(x[i], y[i]))
+             for i, model in enumerate(models)]
+    for i, model in enumerate(models):
+        # One model's call has the bits of the matrix-vector form `x @ w + b`.
+        w, b = model.params[:features], model.params[features]
+        assert alone[i][0].tobytes() == (x[i] @ w + b).tobytes()
+    before = [model.params.copy() for model in models]
+    stacked = LinearRegression.stack(models)
+    for i, model in enumerate(models):
+        assert model.params.base is stacked.params and model.params.tolist() == before[i].tolist()
+        assert np.shares_memory(model.params, stacked.params[i])
+    predictions = stacked.predict(x)
+    losses = stacked.loss(x, y)
+    grads = stacked.gradient(x, y)
+    pair_losses, pair_grads = stacked.loss_and_gradient(x, y)
+    for i, model in enumerate(models):
+        assert predictions[i].tobytes() == alone[i][0].tobytes()
+        assert float(losses[i]) == float(pair_losses[i]) == alone[i][1] == model.loss(x[i], y[i])
+        assert grads[i].tobytes() == pair_grads[i].tobytes() == alone[i][2].tobytes()
+    models[-1].params[-1] += 1.0
+    assert stacked.params[-1, -1] == models[-1].params[-1]
