@@ -80,11 +80,14 @@ class TrainingEngine:
             self._perm = self.shuffle_rng.permutation(self.dataset.train_x.shape[0])
             self._epoch += 1
 
+    def _rows(self, index: int) -> np.ndarray:
+        """Training-set row indices of the current epoch's minibatch `index`."""
+        return self._perm[index * self.minibatch_size : (index + 1) * self.minibatch_size]
+
     def rows_for_step(self, step: int) -> np.ndarray:
         """Training-set row indices of a global step's minibatch; reshuffles at epoch boundaries."""
         self._advance_to_epoch(step // self.batches_per_epoch)
-        start = step % self.batches_per_epoch * self.minibatch_size
-        return self._perm[start : start + self.minibatch_size]
+        return self._rows(step % self.batches_per_epoch)
 
     def batch_for_step(self, step: int) -> tuple[np.ndarray, np.ndarray]:
         """Minibatch for a global step index: the rows `rows_for_step` names."""
@@ -94,7 +97,7 @@ class TrainingEngine:
     def minibatch(self, index: int) -> tuple[np.ndarray, np.ndarray]:
         if not 0 <= index < self.batches_per_epoch:
             raise InvalidArgumentError("minibatch index out of range")
-        rows = self._perm[index * self.minibatch_size : (index + 1) * self.minibatch_size]
+        rows = self._rows(index)
         return self.dataset.train_x[rows], self.dataset.train_y[rows]
 
     # -- losses and gradients -------------------------------------------------

@@ -88,6 +88,7 @@ class Model:
     """Base: flat parameter vector plus loss/gradient over a batch."""
 
     task: str  # the dataset task it trains; `TrainingEngine` checks it against its dataset's
+    seed_axis = False  # whether its loss_and_gradient takes a leading seed axis, so that `stack` applies
 
     def __init__(self, n_params: int):
         self.params = np.zeros(n_params, dtype=np.float64)
@@ -100,7 +101,7 @@ class Model:
     def stack(cls, models: list[Model]) -> Model:
         """One model whose params are the models' params as rows of one array.
 
-        Only for a model whose methods take a leading seed axis. Each model's
+        Only for a model whose methods take a leading seed axis (``seed_axis``). Each model's
         ``params`` becomes its row, with its values, so a write to either
         reaches both. A stacked `loss_and_gradient` over a
         seeds x rows x features batch runs each seed's matrix products as
@@ -136,6 +137,7 @@ class LinearRegression(Model):
     """
 
     task = TASK_REGRESSION
+    seed_axis = True
 
     def __init__(self, n_features: int):
         super().__init__(n_features + 1)
@@ -178,6 +180,8 @@ class Mlp(Model):
     row per seed, each with the bits of that seed's own call. Every other
     method takes the unstacked shapes.
     """
+
+    seed_axis = True
 
     def __init__(
         self,

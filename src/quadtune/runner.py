@@ -282,10 +282,6 @@ def aggregate_summaries(per_seed: list[dict[str, Any]]) -> dict[str, Any]:
     return aggregate
 
 
-# Models whose methods take a leading seed axis, so that a command's seeds can train as one cohort.
-SEED_AXIS_MODELS = (LinearRegression, Mlp)
-
-
 def _train_cohort(
     first: TrainingRun, cfg: RunConfig, dataset: Dataset
 ) -> tuple[list[TrainingRun], Optional[Exception]]:
@@ -334,7 +330,7 @@ def run_all_seeds(
     """Run every configured seed on one dataset; returns traces plus the cross-seed summary.
 
     The first seed is built and takes its first step before any other seed is
-    built. When the model takes a seed axis (`SEED_AXIS_MODELS`) and all
+    built. When the model takes a seed axis (`Model.seed_axis`) and all
     seeds' parameters together fit one row block (seeds x parameters at most
     `BLOCK_ELEMENTS`), the seeds then train as one cohort (`_train_cohort`),
     with the traces and summaries of seeds run one after another, bit for
@@ -352,7 +348,7 @@ def run_all_seeds(
     dataset = make_dataset(cfg.dataset)
     run = TrainingRun(cfg, cfg.seeds[0], dataset)
     run.advance_to(1)
-    stacks = isinstance(run.model, SEED_AXIS_MODELS) and len(cfg.seeds) * run.model.params.size <= BLOCK_ELEMENTS
+    stacks = run.model.seed_axis and len(cfg.seeds) * run.model.params.size <= BLOCK_ELEMENTS
     if len(cfg.seeds) > 1 and stacks:
         runs, error = _train_cohort(run, cfg, dataset)
         for run in runs:

@@ -51,7 +51,7 @@ def test_the_summary_of_canned_pairs():
 
 
 def test_the_parent_runs_first_on_odd_seeds(monkeypatch, tmp_path):
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": SPECS}), encoding="utf-8")
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 2, "end_to_end": SPECS}), encoding="utf-8")
     order = []
 
     def run_once(tree, workload, seed, seconds):
@@ -69,8 +69,8 @@ def test_the_parent_runs_first_on_odd_seeds(monkeypatch, tmp_path):
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     monkeypatch.setattr(bench_pairs, "checked_out", checked_out)
     monkeypatch.setattr(bench_pairs, "git", lambda *args, cwd=None: "" if args[0] == "status" else f"id-{cwd}")
-    argv = ["--parent", "HEAD~1", "--seeds", "7-8", "--seconds", "2", "--label", "t",
-            "--workloads", "linreg_tiny,moons_cosine"]
+    monkeypatch.setattr(bench_pairs, "WORKLOADS", {"linreg_tiny": None, "moons_cosine": None})
+    argv = ["--parent", "HEAD~1", "--seeds", "7-8", "--label", "t"]  # --seconds from run_seconds
     assert bench_pairs.main(argv) == 0
     assert order == [
         (7, "linreg_tiny", "parent"), (7, "linreg_tiny", "change"),

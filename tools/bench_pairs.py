@@ -114,28 +114,24 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", metavar="REV", required=True, help="git revision to compare this checkout with")
     parser.add_argument("--seeds", required=True, help="workload seeds, e.g. 3001-3010")
-    parser.add_argument("--seconds", type=float, default=25.0, help="seconds per perfbench run (default 25)")
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    parser.add_argument("--seconds", type=float, default=benchmark["run_seconds"],
+                        help="seconds per perfbench run (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--label", required=True, help="the report is written to BENCH_<label>.json")
-    parser.add_argument("--workloads", default=",".join(WORKLOADS),
-                        help="comma-separated workloads, run in this order for each seed (default: all)")
     args = parser.parse_args(argv)
     seeds = parse_seeds(args.seeds)
     if len(seeds) < 2:
         parser.error("quartiles need at least 2 seeds")
-    workloads = args.workloads.split(",")
-    unknown = set(workloads) - WORKLOADS.keys()
-    if unknown:
-        parser.error(f"unknown workloads: {', '.join(sorted(unknown))}")
-    specs = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"] + RUN_METRICS
+    specs = benchmark["end_to_end"] + RUN_METRICS
 
     change = git("rev-parse", "HEAD") + (" with uncommitted changes" if git("status", "--porcelain") else "")
-    runs: dict[str, list[dict]] = {name: [] for name in workloads}
+    runs: dict[str, list[dict]] = {name: [] for name in WORKLOADS}
     with checked_out(args.parent) as parent_tree:
         parent = git("rev-parse", "HEAD", cwd=parent_tree)
         trees = {"parent": parent_tree, "change": ROOT}
         for seed in seeds:
             order = SIDES if seed % 2 else SIDES[::-1]
-            for name in workloads:
+            for name in WORKLOADS:
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
                     pair[side] = run_once(trees[side], name, seed, args.seconds)
@@ -149,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
         "host": f"{platform.platform()}, Python {platform.python_version()}",
         "command": " ".join(command("<name>", "<seed>", args.seconds)),
         "trees": {"parent": f"a temporary git worktree of {args.parent}", "change": "this checkout"},
-        "pair_rule": f"seeds {args.seeds}, each seed running {', '.join(workloads)} in turn; the parent runs first"
+        "pair_rule": f"seeds {args.seeds}, each seed running {', '.join(WORKLOADS)} in turn; the parent runs first"
                      " on odd seeds, the change first on even seeds; each run is its own process",
         "workloads": {name: summarize(pairs, specs) for name, pairs in runs.items()},
     }
