@@ -283,27 +283,35 @@ def aggregate_summaries(per_seed: list[dict[str, Any]]) -> dict[str, Any]:
 
 
 def _train_cohort(
-    first: TrainingRun, cfg: RunConfig, dataset: Dataset
+    cfg: RunConfig, seeds: list[int], dataset: Dataset
 ) -> tuple[list[TrainingRun], Optional[Exception]]:
-    """Train every seed in lockstep; `first`, seed 0's run, has taken its first step.
+    """Train the next cohort of `seeds`, taken off the front of the list, in lockstep.
 
-    Each later seed is built and takes its own first step. Every later step
-    then gathers all seeds' minibatch rows with one index of the training
-    set, runs one stacked `loss_and_gradient` on them (see `Model.stack`),
-    and passes each seed's `step_once` its share. A seed that raises drops
-    out with every seed after it, as if the seeds had run one after another.
-    Returns the seeds that finished, in config order, and the earliest error.
+    Its first seed is built and takes its first step; each later seed does the
+    same while the cohort holds fewer than `BLOCK_ELEMENTS // parameters`
+    seeds, or one if the model takes no seed axis (`Model.seed_axis`). A
+    cohort of one trains with `TrainingRun.run`. In a larger one, every later
+    step gathers all seeds' minibatch rows with one index of the training set,
+    runs one stacked `loss_and_gradient` on them (`Model.stack`), and passes
+    each seed's `step_once` its share. A seed that raises drops out with every
+    seed after it, as if the seeds had run one after another. Returns the
+    seeds that finished, in config order, and the earliest error.
     """
-    runs = [first]
-    error = None
-    for seed in cfg.seeds[1:]:
+    first = TrainingRun(cfg, seeds.pop(0), dataset)
+    first.advance_to(1)
+    size = BLOCK_ELEMENTS // first.model.params.size if first.model.seed_axis else 1
+    runs, error = [first], None
+    while seeds and len(runs) < size:
         try:
-            run = TrainingRun(cfg, seed, dataset)
+            run = TrainingRun(cfg, seeds.pop(0), dataset)
             run.advance_to(1)
         except Exception as exc:
             error = exc
             break
         runs.append(run)
+    if len(runs) == 1:
+        first.run()
+        return runs, error
     stack = type(first.model).stack
     stacked = stack([run.model for run in runs])
     with np.errstate(over="ignore", invalid="ignore"):  # as in advance_to
@@ -329,39 +337,31 @@ def run_all_seeds(
 ) -> tuple[dict[int, list[RunRecord]], dict[str, Any]]:
     """Run every configured seed on one dataset; returns traces plus the cross-seed summary.
 
-    The first seed is built and takes its first step before any other seed is
-    built. When the model takes a seed axis (`Model.seed_axis`) and all
-    seeds' parameters together fit one row block (seeds x parameters at most
-    `BLOCK_ELEMENTS`), the seeds then train as one cohort (`_train_cohort`),
-    with the traces and summaries of seeds run one after another, bit for
-    bit. Otherwise each seed trains to its end before the next one is built.
+    The seeds train in cohorts (`_train_cohort`), in config order, each with
+    the bits of its run alone. A 4-seed `[128, 128]` moons command (17154
+    parameters a seed) trains a cohort of 3, then one of 1; `wide_probe`, a
+    `bowl` and a single-seed command train cohorts of one. The first seed is
+    built and takes its first step before any other seed is built.
 
     With `on_trace`, each seed's records go to `on_trace(seed, records)` when
-    that seed ends (a cohort's seeds end together, in config order) and are
-    not kept, so the returned traces are empty. A seed that raises ends the
-    command as it would had the seeds run one after another: the seeds before
-    it end and pass their records on, and its error is raised.
+    its cohort ends (in config order) and are not kept, so the returned
+    traces are empty. A seed that raises ends the command as it would had the
+    seeds run one after another: the seeds before it end and pass their
+    records on, and its error is raised.
     """
     traces: dict[int, list[RunRecord]] = {}
     per_seed: list[dict[str, Any]] = []
     keep = on_trace or traces.__setitem__
     dataset = make_dataset(cfg.dataset)
-    run = TrainingRun(cfg, cfg.seeds[0], dataset)
-    run.advance_to(1)
-    stacks = run.model.seed_axis and len(cfg.seeds) * run.model.params.size <= BLOCK_ELEMENTS
-    if len(cfg.seeds) > 1 and stacks:
-        runs, error = _train_cohort(run, cfg, dataset)
+    seeds = list(cfg.seeds)
+    while seeds:
+        runs, error = _train_cohort(cfg, seeds, dataset)
         for run in runs:
             keep(run.seed, run.records)
             per_seed.append(run.summary())
         if error is not None:
             raise error
-    else:
-        for i, seed in enumerate(cfg.seeds):
-            if i > 0:
-                run = TrainingRun(cfg, seed, dataset)
-            keep(seed, run.run())
-            per_seed.append(run.summary())
+        del runs, run  # so the next cohort trains without this one's models, buffers and records
     summary = {
         "config": cfg.to_dict(),
         "per_seed": per_seed,

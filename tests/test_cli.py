@@ -65,6 +65,8 @@ def tuner_raw(tmp_path, **overrides):
 LINREG_DATA = {"kind": "linreg", "n": 600, "dim": 4, "noise": 0.1, "seed": 4}
 LINREG_COSINE = {"dataset": LINREG_DATA, "model": {"kind": "linreg"},
                  "lr_policy": {"kind": "schedule", "variant": "cosine", "seed_lr": 0.05}}
+# 4 seeds of a [2, 128, 128, 2] Mlp (17154 parameters): a cohort of 3 fits BLOCK_ELEMENTS, then seed 4 alone.
+TWO_COHORTS = {"model": {"kind": "mlp", "hidden": [128, 128]}, "seeds": [1, 2, 3, 4]}
 
 
 def read_csv(path):
@@ -235,18 +237,24 @@ class TestTrainCommand:
         ({(3, 40)}, "seed 3 fails", {1, 2, 3}, ["trace_seed1.csv", "trace_seed2.csv"], LINREG_COSINE),
         ({(3, 10), (2, 40)}, "seed 2 fails", {1, 2, 3}, ["trace_seed1.csv"], LINREG_COSINE),
         ({(1, 40), (3, 10)}, "seed 1 fails", {1, 2, 3}, [], LINREG_COSINE),
+        ({(4, 0)}, "seed 4 fails", {1, 2, 3, 4}, ["trace_seed1.csv", "trace_seed2.csv", "trace_seed3.csv"],
+         TWO_COHORTS),
+        ({(2, 10)}, "seed 2 fails", {1, 2, 3}, ["trace_seed1.csv"], TWO_COHORTS),
+        ({(4, 5), (3, 10)}, "seed 3 fails", {1, 2, 3}, ["trace_seed1.csv", "trace_seed2.csv"], TWO_COHORTS),
     ], ids=["seed-3-at-step-40", "seed-2-at-step-40", "seed-2-at-step-40-after-seed-3-at-10",
             "seed-1-at-step-40-after-seed-3-at-10", "seed-2-at-step-0", "seed-1-at-step-0",
             "linreg-seed-3-at-step-40", "linreg-seed-2-at-step-40-after-seed-3-at-10",
-            "linreg-seed-1-at-step-40-after-seed-3-at-10"])
+            "linreg-seed-1-at-step-40-after-seed-3-at-10", "two-cohorts-seed-4-at-step-0",
+            "two-cohorts-seed-2-at-step-10", "two-cohorts-seed-3-at-step-10-after-seed-4-at-5"])
     def test_a_failing_seed_ends_a_cohort_as_if_the_seeds_ran_in_turn(
         self, tmp_path, monkeypatch, capsys, failures, error, stepped, kept, model
     ):
         # logreg (an Mlp) and linreg take a seed axis, so the 3 seeds stack and end together,
         # after 50 or more steps. The earliest seed that raises decides the error, the seeds before
         # it keep their traces, and a failure at the first seed's first step ends the command
-        # before another seed is built.
-        raw = schedule_raw(tmp_path, seeds=[1, 2, 3], epochs=5, **model)
+        # before another seed is built. TWO_COHORTS trains seeds 1-3 as one cohort, then seed 4,
+        # which is built only when the first cohort has ended.
+        raw = schedule_raw(tmp_path, **dict({"seeds": [1, 2, 3], "epochs": 5}, **model))
         path = write_config(tmp_path, raw)
         assert main(["train", "--config", path, "--out", os.path.join(str(tmp_path), "full"), "--quiet"]) == 0
         out = Path(raw["out_dir"])
@@ -426,19 +434,18 @@ def test_every_command_rejects_an_unknown_key(tmp_path, capsys, command):
     assert not os.path.exists(raw["out_dir"])
 
 
-@pytest.mark.parametrize("overrides,stacks,rolls_back", [
-    pytest.param({"lr_policy": COSINE}, True, False, id="moons-cosine-mlp"),
-    pytest.param({}, True, True, id="moons-tuner-mlp"),
-    pytest.param({"optimizer": {"kind": "adamw", "weight_decay": 0.01, "minibatch_size": 32}}, True, True,
+@pytest.mark.parametrize("overrides,rolls_back", [
+    pytest.param({"lr_policy": COSINE}, False, id="moons-cosine-mlp"),
+    pytest.param({}, True, id="moons-tuner-mlp"),
+    pytest.param({"optimizer": {"kind": "adamw", "weight_decay": 0.01, "minibatch_size": 32}}, True,
                  id="moons-adamw-tuner"),
-    pytest.param(LINREG_COSINE, True, False, id="linreg"),
+    pytest.param(LINREG_COSINE, False, id="linreg"),
     pytest.param({"dataset": LINREG_DATA, "model": {"kind": "linreg"},
-                  "optimizer": {"kind": "adam", "minibatch_size": 16}}, True, True, id="linreg-adam-tuner"),
-    # 4 x 17282 parameters exceed BLOCK_ELEMENTS (65536).
-    pytest.param({"model": {"kind": "mlp", "hidden": [128, 128]}, "seeds": [1, 2, 3, 4]}, False, True,
-                 id="mlp-stack-over-the-block"),
+                  "optimizer": {"kind": "adam", "minibatch_size": 16}}, True, id="linreg-adam-tuner"),
+    # 4 x 17154 parameters exceed BLOCK_ELEMENTS (65536): seeds 1-3 stack, and seed 4 trains alone.
+    pytest.param(TWO_COHORTS, True, id="mlp-stack-over-the-block"),
 ])
-def test_each_seed_of_a_command_equals_that_seed_run_alone(tmp_path, monkeypatch, overrides, stacks, rolls_back):
+def test_each_seed_of_a_command_equals_that_seed_run_alone(tmp_path, monkeypatch, overrides, rolls_back):
     raw = tuner_raw(tmp_path, **dict({"seeds": [1, 2, 3]}, **overrides))
     path = write_config(tmp_path, raw)
     stacked = []
@@ -450,7 +457,7 @@ def test_each_seed_of_a_command_equals_that_seed_run_alone(tmp_path, monkeypatch
 
     monkeypatch.setattr(Model, "stack", classmethod(counted_stack))
     assert main(["train", "--config", path, "--quiet"]) == 0
-    assert stacked == ([len(raw["seeds"])] if stacks else [])
+    assert stacked == [3]  # every case stacks one cohort of 3 seeds
     out = Path(raw["out_dir"])
     blocks = json.loads((out / "summary.json").read_text(encoding="utf-8"))["per_seed"]
     assert [block["seed"] for block in blocks] == raw["seeds"]

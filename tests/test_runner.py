@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -148,6 +149,27 @@ def test_all_seeds_share_one_dataset_and_train_as_runs_built_alone(monkeypatch):
     for seed, per_seed in zip(cfg.seeds, summary["per_seed"]):
         alone = TrainingRun(cfg, seed)
         assert traces[seed] == alone.run() and per_seed == alone.summary()
+
+
+def test_a_cohort_is_freed_before_the_next_one_is_built(monkeypatch):
+    # 4 seeds of a [2, 128, 128, 2] Mlp train a cohort of 3, then seed 4 alone. Seeds 1-3 must be
+    # gone by then, or their models, optimizer buffers and records raise the command's peak memory.
+    cfg = schedule_cfg(model={"kind": "mlp", "hidden": [128, 128]}, seeds=[1, 2, 3, 4])
+    built, live = [], {}
+    init, step_once = TrainingRun.__init__, TrainingRun.step_once
+
+    def tracked_init(self, *args):
+        built.append(weakref.ref(self))
+        init(self, *args)
+
+    def counted_step(self, *args):
+        live.setdefault(self.seed, set()).add(sum(ref() is not None for ref in built))
+        return step_once(self, *args)
+
+    monkeypatch.setattr(TrainingRun, "__init__", tracked_init)
+    monkeypatch.setattr(TrainingRun, "step_once", counted_step)
+    run_all_seeds(cfg, lambda seed, records: None)
+    assert live == {1: {1, 3}, 2: {2, 3}, 3: {3}, 4: {1}}
 
 
 def test_determinism_same_seed_same_records():

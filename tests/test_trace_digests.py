@@ -1,5 +1,6 @@
 import contextlib
 import importlib.util
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,3 +47,16 @@ def test_parent_compares_the_same_runs_from_both_trees(monkeypatch, capsys, tmp_
     digests[ROOT] = digests[tmp_path / "parent"]
     assert trace_digests.main(["--seeds", "11", "--parent", "HEAD~1"]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_train_passes_the_environment_to_its_child(monkeypatch, tmp_path):
+    # A second BLAS kernel is checked by setting OPENBLAS_CORETYPE for the whole command.
+    children = []
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
+    monkeypatch.setattr(trace_digests.subprocess, "run", lambda argv, env, check: children.append((argv, env)))
+    trace_digests.train(tmp_path / "tree", {"epochs": 1}, tmp_path / "out")
+    [(argv, env)] = children
+    assert env["OPENBLAS_CORETYPE"] == "Haswell"
+    assert env["PYTHONPATH"] == str(tmp_path / "tree" / "src")
+    assert argv[1:4] == ["-m", "quadtune.cli", "train"]
+    assert json.loads((tmp_path / "out" / "config.json").read_text()) == {"epochs": 1, "out_dir": str(tmp_path / "out")}

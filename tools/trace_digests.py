@@ -22,6 +22,16 @@ the lines that differ (`-` REV's, `+` the other's) and exits 1 on any
 difference, 0 when every line is equal:
 
     python3 tools/trace_digests.py --seeds 11-13 --parent HEAD~1
+
+Every training runs in a child process that inherits this one's environment,
+so a variable set on the command line reaches both trees. That is how to
+check a second BLAS kernel: numpy's OpenBLAS picks its kernel from
+`OPENBLAS_CORETYPE`, and a trace's bytes depend on the kernel. Compare each
+kernel's listing of a tree with the same kernel's listing of another, with
+or without `--parent`:
+
+    OPENBLAS_CORETYPE=Haswell python3 tools/trace_digests.py --seeds 11-13 --parent HEAD~1
+    OPENBLAS_CORETYPE=Haswell python3 tools/trace_digests.py --seeds 11-13 > haswell.txt
 """
 
 from __future__ import annotations
