@@ -148,8 +148,7 @@ class TrainingEngine:
                 f"superbatch size {size} not in [1, {self.batches_per_epoch}] minibatches"
             )
         indices = sorted(self.superbatch_rng.choice(self.batches_per_epoch, size=size, replace=False).tolist())
-        mb = self.minibatch_size
-        rows = self._perm[: self.batches_per_epoch * mb].reshape(-1, mb)[indices].reshape(-1)
+        rows = np.concatenate([self._rows(i) for i in indices])
         return Superbatch(tuple(indices), self.dataset.train_x[rows], self.dataset.train_y[rows])
 
     # -- committed steps -------------------------------------------------------

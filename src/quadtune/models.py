@@ -85,10 +85,9 @@ def _row_mean(rows: np.ndarray):
 
 
 class Model:
-    """Base: flat parameter vector plus loss/gradient over a batch."""
+    """Base: flat parameter vector plus loss/gradient over a batch; every model stacks (see `stack`)."""
 
     task: str  # the dataset task it trains; `TrainingEngine` checks it against its dataset's
-    seed_axis = False  # whether its loss_and_gradient takes a leading seed axis, so that `stack` applies
 
     def __init__(self, n_params: int):
         self.params = np.zeros(n_params, dtype=np.float64)
@@ -99,15 +98,15 @@ class Model:
 
     @classmethod
     def stack(cls, models: list[Model]) -> Model:
-        """One model whose params are the models' params as rows of one array.
+        """One model whose params are the models' params as rows of one seeds x parameters array.
 
-        Only for a model whose methods take a leading seed axis (``seed_axis``). Each model's
-        ``params`` becomes its row, with its values, so a write to either
-        reaches both. A stacked `loss_and_gradient` over a
-        seeds x rows x features batch runs each seed's matrix products as
-        their own BLAS calls with unchanged sizes, and every other operation
-        per seed along the same axes, so each seed's loss and gradient have
-        the bits of its own call.
+        Each model's ``params`` becomes its row, with its values, so a write
+        to either reaches both. Every model's stacked `loss_and_gradient`
+        takes a seeds x rows x features batch and returns a loss per seed and
+        a gradient row per seed. It runs each seed's matrix products as their
+        own BLAS calls with unchanged sizes, and every other operation per
+        seed along the same axes, so each seed's loss and gradient have the
+        bits of its own call.
         """
         stacked = copy.copy(models[0])
         stacked._bind(np.array([m.params for m in models]))
@@ -131,13 +130,12 @@ class Model:
 class LinearRegression(Model):
     """y_hat = x @ w + b with loss mean(0.5 * (y_hat - y)^2).
 
-    Every method also takes a leading seed axis (see `Model.stack`): a
-    stack's params are seeds x parameters, its batch seeds x rows x features,
-    and it returns a prediction row, a loss and a gradient row per seed.
+    Every method takes the leading seed axis of a stack (see `Model.stack`): a
+    stacked `predict`, `loss` and `gradient` return a row, a loss and a
+    gradient row per seed.
     """
 
     task = TASK_REGRESSION
-    seed_axis = True
 
     def __init__(self, n_features: int):
         super().__init__(n_features + 1)
@@ -174,14 +172,10 @@ class Mlp(Model):
     ``params`` must be written in place (``params[:] = v``), never rebound
     but by `Model.stack`; copies and unpickled models rebuild their views.
 
-    ``params`` may be one row of a stack's (see `Model.stack`). A stacked
-    Mlp's params are seeds x parameters, and its `loss_and_gradient` takes a
-    seeds x rows x features batch and returns a loss per seed and a gradient
-    row per seed, each with the bits of that seed's own call. Every other
-    method takes the unstacked shapes.
+    ``params`` may be one row of a stack's (see `Model.stack`). Only
+    `loss_and_gradient` takes a stack's seed axis; every other method runs
+    in row blocks and takes the unstacked shapes.
     """
-
-    seed_axis = True
 
     def __init__(
         self,
@@ -363,7 +357,8 @@ class LogisticRegression(Mlp):
 
 
 class QuadraticBowl(Model):
-    """Deterministic objective 0.5 * theta^T A theta; ignores the batch."""
+    """Deterministic objective 0.5 * theta^T A theta; ignores the batch. `loss` and `gradient`
+    take a stack's seed axis; each seed runs the matrix-vector and dot calls of one bowl's."""
 
     task = TASK_NONE
 
@@ -384,7 +379,9 @@ class QuadraticBowl(Model):
             self.params[:] = 1.0
 
     def loss(self, x=None, y=None):
-        return float(0.5 * self.params @ self.matrix @ self.params)
+        p = self.params[..., None, :]
+        loss = (0.5 * p @ self.matrix @ p.swapaxes(-1, -2))[..., 0, 0]
+        return float(loss) if loss.ndim == 0 else loss
 
     def gradient(self, x=None, y=None):
-        return self.matrix @ self.params
+        return (self.matrix @ self.params[..., None])[..., 0]

@@ -289,8 +289,8 @@ def _train_cohort(
 
     Its first seed is built and takes its first step; each later seed does the
     same while the cohort holds fewer than `BLOCK_ELEMENTS // parameters`
-    seeds, or one if the model takes no seed axis (`Model.seed_axis`). A
-    cohort of one trains with `TrainingRun.run`. In a larger one, every later
+    seeds. A cohort of one trains with `TrainingRun.run`, unstacked: a stack
+    of one cost a moons step about 2 us more. In a larger one, every later
     step gathers all seeds' minibatch rows with one index of the training set,
     runs one stacked `loss_and_gradient` on them (`Model.stack`), and passes
     each seed's `step_once` its share. A seed that raises drops out with every
@@ -299,7 +299,7 @@ def _train_cohort(
     """
     first = TrainingRun(cfg, seeds.pop(0), dataset)
     first.advance_to(1)
-    size = BLOCK_ELEMENTS // first.model.params.size if first.model.seed_axis else 1
+    size = BLOCK_ELEMENTS // first.model.params.size
     runs, error = [first], None
     while seeds and len(runs) < size:
         try:
@@ -339,9 +339,10 @@ def run_all_seeds(
 
     The seeds train in cohorts (`_train_cohort`), in config order, each with
     the bits of its run alone. A 4-seed `[128, 128]` moons command (17154
-    parameters a seed) trains a cohort of 3, then one of 1; `wide_probe`, a
-    `bowl` and a single-seed command train cohorts of one. The first seed is
-    built and takes its first step before any other seed is built.
+    parameters a seed) trains a cohort of 3, then one of 1; `wide_probe`
+    (67074, over `BLOCK_ELEMENTS`) and a single-seed command train cohorts of
+    one. The first seed is built and takes its first step before any other
+    seed is built.
 
     With `on_trace`, each seed's records go to `on_trace(seed, records)` when
     its cohort ends (in config order) and are not kept, so the returned

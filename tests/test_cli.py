@@ -65,6 +65,9 @@ def tuner_raw(tmp_path, **overrides):
 LINREG_DATA = {"kind": "linreg", "n": 600, "dim": 4, "noise": 0.1, "seed": 4}
 LINREG_COSINE = {"dataset": LINREG_DATA, "model": {"kind": "linreg"},
                  "lr_policy": {"kind": "schedule", "variant": "cosine", "seed_lr": 0.05}}
+# The bowl ignores its rows and every seed starts at theta0, so its seeds train to the same bits.
+BOWL = {"dataset": {"kind": "bowl", "n": 64}, "optimizer": {"kind": "adam", "minibatch_size": 8}, "epochs": 20,
+        "model": {"kind": "bowl", "matrix": [[4.0, 1.0, 0.5], [1.0, 2.0, 0.3], [0.5, 0.3, 1.0]], "theta0": [1.0, -2.0, 0.5]}}
 # 4 seeds of a [2, 128, 128, 2] Mlp (17154 parameters): a cohort of 3 fits BLOCK_ELEMENTS, then seed 4 alone.
 TWO_COHORTS = {"model": {"kind": "mlp", "hidden": [128, 128]}, "seeds": [1, 2, 3, 4]}
 
@@ -204,9 +207,10 @@ class TestTrainCommand:
         assert bytes_a == bytes_b
 
     def test_each_trace_is_written_when_its_seed_ends(self, tmp_path, monkeypatch, capsys):
-        # A bowl takes no seed axis, so its seeds do not stack: each one trains to its end before the next.
-        raw = schedule_raw(tmp_path, seeds=[1, 2, 3], dataset={"kind": "bowl", "n": 64},
-                           model={"kind": "bowl", "diag": [1.0, 10.0]}, lr_policy=dict(COSINE, seed_lr=0.05))
+        # A [2, 256, 256, 2] Mlp has 67074 parameters, over BLOCK_ELEMENTS, so its seeds train in
+        # cohorts of one: each one trains to its end before the next.
+        raw = schedule_raw(tmp_path, seeds=[1, 2, 3], dataset={"kind": "moons", "n": 200, "noise": 0.15, "seed": 4},
+                           model={"kind": "mlp", "hidden": [256, 256]}, lr_policy=dict(COSINE, seed_lr=0.05))
         path = write_config(tmp_path, raw)
         assert main(["train", "--config", path, "--out", os.path.join(str(tmp_path), "full"), "--quiet"]) == 0
         out = Path(raw["out_dir"])
@@ -442,6 +446,10 @@ def test_every_command_rejects_an_unknown_key(tmp_path, capsys, command):
     pytest.param(LINREG_COSINE, False, id="linreg"),
     pytest.param({"dataset": LINREG_DATA, "model": {"kind": "linreg"},
                   "optimizer": {"kind": "adam", "minibatch_size": 16}}, True, id="linreg-adam-tuner"),
+    pytest.param(dict(BOWL, lr_policy={"kind": "schedule", "variant": "cosine", "seed_lr": 0.05}), False,
+                 id="bowl-cosine"),
+    pytest.param(dict(BOWL, lr_policy={"kind": "tuner", "seed_lr": 0.05, "recompute_window": 5, "superbatch_size": 2}),
+                 True, id="bowl-adam-tuner"),
     # 4 x 17154 parameters exceed BLOCK_ELEMENTS (65536): seeds 1-3 stack, and seed 4 trains alone.
     pytest.param(TWO_COHORTS, True, id="mlp-stack-over-the-block"),
 ])

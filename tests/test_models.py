@@ -471,3 +471,26 @@ def test_a_stacked_linreg_gives_each_seed_the_bits_of_its_own_call(features, row
         assert grads[i].tobytes() == pair_grads[i].tobytes() == alone[i][2].tobytes()
     models[-1].params[-1] += 1.0
     assert stacked.params[-1, -1] == models[-1].params[-1]
+
+
+@pytest.mark.parametrize("dim,seeds", [(1, 3), (3, 4), (17, 2), (64, 5), (3, 1)])
+def test_a_stacked_bowl_gives_each_seed_the_bits_of_its_own_call(dim, seeds):
+    rng = np.random.default_rng(dim * 10 + seeds)
+    a = rng.normal(size=(dim, dim))
+    matrix = a @ a.T + np.eye(dim)
+    models = [QuadraticBowl(matrix, rng.normal(size=dim)) for _ in range(seeds)]  # a theta0 per seed
+    alone = [(model.loss(), model.gradient(), model.loss_and_gradient(None, None)) for model in models]
+    for i, model in enumerate(models):
+        # One model's call has the bits of `theta @ A @ theta` and `A @ theta`, and a float loss.
+        theta = model.params
+        assert type(alone[i][0]) is float and alone[i][0] == float(0.5 * theta @ matrix @ theta)
+        assert alone[i][1].tobytes() == (matrix @ theta).tobytes()
+    stacked = QuadraticBowl.stack(models)
+    losses, grads = stacked.loss(), stacked.gradient()
+    pair_losses, pair_grads = stacked.loss_and_gradient(None, None)
+    assert losses.shape == (seeds,) and grads.shape == (seeds, dim)
+    for i, (loss, grad, (pair_loss, pair_grad)) in enumerate(alone):
+        assert float(losses[i]) == float(pair_losses[i]) == loss == pair_loss
+        assert grads[i].tobytes() == pair_grads[i].tobytes() == grad.tobytes() == pair_grad.tobytes()
+    models[-1].params[0] += 1.0
+    assert np.shares_memory(models[-1].params, stacked.params) and stacked.params[-1, 0] == models[-1].params[0]
