@@ -102,14 +102,15 @@ class TrainingEngine:
 
     # -- losses and gradients -------------------------------------------------
 
-    def loss_and_gradient(
-        self, x: np.ndarray, y: np.ndarray, computed: Optional[LossAndGradient] = None
-    ) -> LossAndGradient:
-        """The model's loss and gradient on the batch, or `computed`, that pair computed ahead
-        at the current params; either way one forward and one backward."""
+    def loss_and_gradient(self, x: np.ndarray, y: np.ndarray) -> LossAndGradient:
+        """The model's loss and gradient on the batch: one training pass."""
+        self.count_training_pass()
+        return self.model.loss_and_gradient(x, y)
+
+    def count_training_pass(self) -> None:
+        """Count one forward and one backward pass: a step's, here or in a cohort's stacked call."""
         self.forward_passes += 1
         self.backward_passes += 1
-        return self.model.loss_and_gradient(x, y) if computed is None else computed
 
     def superbatch_loss(self, sb: Superbatch) -> float:
         """The model's mean loss on the superbatch's rows, counted as one forward

@@ -6,14 +6,15 @@ together with the post-update internal state, without mutating anything;
 ``commit_step`` applies it to the parameters in place. This lets callers probe
 losses at perturbed step sizes along ``d`` and only then decide the learning
 rate. ``d`` may share memory with the gradient or an optimizer buffer, so
-nothing writes into it.
+nothing writes into it; for a stack of optimizers (`Optimizer.stack`) ``d``
+holds one row per seed, and a seed probes along its row.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -25,7 +26,7 @@ class PendingStep:
     """Direction plus the not-yet-committed optimizer internals for one step."""
 
     direction: np.ndarray
-    token: int  # the optimizer's step_count when the direction was computed
+    token: list[int]  # each seed's step_count when the direction was computed
     payload: dict[str, Any] = field(default_factory=dict)
 
 
@@ -41,17 +42,45 @@ class Snapshot:
 
 
 class Optimizer:
-    """Base class implementing the compute/commit protocol."""
+    """Base class implementing the compute/commit protocol, for one optimizer or a stack (`stack`)."""
 
     # The optimizer's state, copied by snapshots; a direction's payload holds the ones it updates.
     BUFFERS: tuple[str, ...] = ()
     decoupled_decay = False  # True: weight decay is applied at commit, not folded into the gradient
+    seeds: Optional[list[Optimizer]] = None  # a stack's optimizers, one per seed (`stack`)
 
     def __init__(self, weight_decay: float = 0.0):
         if weight_decay < 0.0:
             raise InvalidArgumentError("weight_decay must be nonnegative")
         self.weight_decay = float(weight_decay)
         self.step_count = 0
+
+    @classmethod
+    def stack(cls, optimizers: list[Optimizer]) -> Optimizer:
+        """One optimizer over the seeds of a `Model.stack`: optimizers of one config that have all
+        stepped, or none has.
+
+        Its array buffers are the optimizers' buffers as rows of one seeds x
+        parameters array, and each optimizer's buffer becomes its row, as
+        `Model.stack` binds params. It reads each seed's step count and
+        momentum from the seed's optimizer; its commit takes one lr per seed,
+        writes the next buffers into their rows and counts a step for every
+        seed. The update rules are elementwise, so each seed's row has the bits
+        of its own calls.
+        """
+        stacked = copy.copy(optimizers[0])
+        stacked.seeds = list(optimizers)
+        for name in cls.BUFFERS:
+            held = [getattr(optimizer, name) for optimizer in optimizers]
+            if isinstance(held[0], np.ndarray):
+                stacked._bind(name, np.array(held))
+        return stacked
+
+    def _bind(self, name: str, value: np.ndarray) -> None:
+        """Make ``value`` a stack's buffer ``name``, and each of its rows that buffer of its seed."""
+        setattr(self, name, value)
+        for seed, row in zip(self.seeds, value):
+            setattr(seed, name, row)
 
     def compute_direction(self, params: np.ndarray, grads: np.ndarray) -> PendingStep:
         """Direction d for update theta <- theta - lr*d, plus pending internals.
@@ -69,24 +98,49 @@ class Optimizer:
         if self.weight_decay and not self.decoupled_decay:
             grads = grads + self.weight_decay * params
         direction, payload = self._direction(params, grads)
-        return PendingStep(direction=direction, token=self.step_count, payload=payload)
+        return PendingStep(direction=direction, token=self._step_counts(), payload=payload)
 
-    def commit_step(self, params: np.ndarray, lr: float, pending: PendingStep) -> None:
-        """Apply the pending step at learning rate lr to params (a float64 array), in place."""
-        if lr <= 0.0:
+    def commit_step(self, params: np.ndarray, lr: float | list[float], pending: PendingStep) -> None:
+        """Apply the pending step at learning rate lr, a list of one per seed for a stack, to
+        params (a float64 array), in place."""
+        if (min(lr) if isinstance(lr, list) else lr) <= 0.0:
             raise InvalidArgumentError("lr must be positive")
-        if pending.token != self.step_count:
+        if isinstance(lr, list):
+            lr = _common_or_column(lr)
+        if pending.token != self._step_counts():
             raise QuadtuneError("pending step does not match the optimizer's committed state")
         # Decoupled decay reads the pre-step params; a zero decay would turn a -0.0 parameter into +0.0.
         decay = lr * self.weight_decay * params if self.decoupled_decay and self.weight_decay else None
         params -= lr * pending.direction
         if decay is not None:
             params -= decay
-        vars(self).update(pending.payload)
-        self.step_count += 1
+        if self.seeds is None:
+            vars(self).update(pending.payload)  # a lone optimizer takes the new arrays: no copy
+            self.step_count += 1
+            return
+        for name, value in pending.payload.items():
+            held = getattr(self, name)
+            if held is None:
+                self._bind(name, value)
+            else:
+                held[...] = value  # each seed's buffer stays its row
+        for seed in self.seeds:
+            seed.step_count += 1
+
+    def _step_counts(self) -> list[int]:
+        return [self.step_count] if self.seeds is None else [seed.step_count for seed in self.seeds]
+
+    def _per_seed(self, value: Callable[[Optimizer], float]):
+        """``value(self)``; for a stack, the seeds' values as `_common_or_column` gives them."""
+        return value(self) if self.seeds is None else _common_or_column([value(seed) for seed in self.seeds])
 
     def _direction(self, params: np.ndarray, grads: np.ndarray) -> tuple[np.ndarray, dict]:
         raise NotImplementedError
+
+
+def _common_or_column(values: list[float]):
+    """The seeds' common value, or a column of their values when they differ."""
+    return values[0] if values.count(values[0]) == len(values) else np.array(values)[:, None]
 
 
 class Sgd(Optimizer):
@@ -110,7 +164,7 @@ class Momentum(Optimizer):
 
     def _direction(self, params, grads):
         v = self.velocity if self.velocity is not None else np.zeros_like(params)
-        v_next = self.mu * v + grads
+        v_next = self._per_seed(lambda seed: seed.mu) * v + grads
         return v_next, {"velocity": v_next}
 
 
@@ -140,11 +194,11 @@ class Adam(Optimizer):
     def _direction(self, params, grads):
         m = self.m if self.m is not None else np.zeros_like(params)
         v = self.v if self.v is not None else np.zeros_like(params)
-        t = self.step_count + 1
         m_next = self.beta1 * m + (1.0 - self.beta1) * grads
         v_next = self.beta2 * v + (1.0 - self.beta2) * grads * grads
-        m_hat = m_next / (1.0 - self.beta1**t)
-        v_hat = v_next / (1.0 - self.beta2**t)
+        # Bias corrections as Python floats: numpy's power need not round as pow does.
+        m_hat = m_next / self._per_seed(lambda seed: 1.0 - self.beta1 ** (seed.step_count + 1))
+        v_hat = v_next / self._per_seed(lambda seed: 1.0 - self.beta2 ** (seed.step_count + 1))
         d = m_hat / (np.sqrt(v_hat) + self.eps_stab)
         return d, {"m": m_next, "v": v_next}
 
@@ -177,8 +231,13 @@ def take_snapshot(
 
 
 def restore_snapshot(snapshot: Snapshot, params: np.ndarray, optimizer: Optimizer) -> None:
-    """Restore parameters (in place) and optimizer state from a snapshot of the same
-    parameter shape and optimizer kind; every buffer has the parameters' shape."""
+    """Restore parameters and optimizer state from a snapshot of the same parameter shape
+    and optimizer kind.
+
+    The parameters and every array buffer (which has the parameters' shape)
+    are written in place, so a seed's row of a stack stays bound to it; other
+    state, such as `Momentum.mu` and the step count, is set.
+    """
     state = snapshot.opt_state
     if snapshot.params.shape != params.shape:
         raise QuadtuneError("snapshot parameter shape does not match the model")
@@ -186,4 +245,9 @@ def restore_snapshot(snapshot: Snapshot, params: np.ndarray, optimizer: Optimize
         raise QuadtuneError(f"snapshot for {state['kind']} cannot restore a {type(optimizer).__name__}")
     params[:] = snapshot.params
     optimizer.step_count = state["step_count"]
-    vars(optimizer).update(copy.deepcopy(state["buffers"]))
+    for name, value in state["buffers"].items():
+        held = getattr(optimizer, name)
+        if isinstance(held, np.ndarray) and isinstance(value, np.ndarray):
+            held[...] = value
+        else:
+            setattr(optimizer, name, copy.copy(value))

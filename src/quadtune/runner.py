@@ -9,8 +9,8 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 import numpy as np
 
 from .datasets import Dataset, kind_args, make_dataset, seeded_stream
-from .engine import LossAndGradient, TrainingEngine
-from .errors import InvalidArgumentError
+from .engine import TrainingEngine
+from .errors import InvalidArgumentError, QuadtuneError
 from .models import (
     BLOCK_ELEMENTS,
     TASK_CLASSIFICATION,
@@ -35,7 +35,7 @@ from .schedules import (
     momentum_at,
 )
 from .stats import summarize
-from .tuner import LearningRateTuner, TunerConfig
+from .tuner import LearningRateTuner, StepOutcome, TunerConfig
 
 if TYPE_CHECKING:
     from .config import RunConfig
@@ -188,48 +188,55 @@ class TrainingRun:
 
         self.records: list[RunRecord] = []
 
-    def step_once(
-        self,
-        batch: Optional[tuple[np.ndarray, np.ndarray]] = None,
-        computed: Optional[LossAndGradient] = None,
-    ) -> RunRecord:
-        """Take the next step, on `batch` when the caller has gathered its minibatch, and with
-        `computed` when it has also computed the batch's loss and gradient at the current params."""
+    def step_once(self) -> RunRecord:
+        """Take the next step alone; a cohort (`_train_cohort`) takes it with the same halves,
+        `open_step` and `finish_step`, around its stacked gradient, direction and commit."""
         step = len(self.records)
-        x, y = self.engine.batch_for_step(step) if batch is None else batch
+        x, y = self.engine.batch_for_step(step)
         if self.tuner is not None:
-            outcome = self.tuner.run_step(step, x, y, computed)
-            lr = outcome.lr
-            train_loss = outcome.train_loss
-            sb_loss = outcome.superbatch_loss
-            event = ";".join(outcome.events)
-            probe_fwd = self.records[-1].probe_fwd if self.records else 0
-            if outcome.probe is not None:
-                probe_fwd += outcome.probe.forward_passes
-        else:
-            lr = lr_at(self.schedule, step, self.total_steps)
-            mom = momentum_at(self.schedule, step, self.total_steps)
-            if mom is not None:  # RunConfig accepts momentum_range only for the momentum optimizer
-                self.optimizer.mu = mom
-            train_loss, grads = self.engine.loss_and_gradient(x, y, computed)
-            pending = self.optimizer.compute_direction(self.model.params, grads)
-            self.engine.commit(self.optimizer, pending, lr)
-            sb_loss, event, probe_fwd = None, "", 0
+            return self.record_step(self.tuner.run_step(step, x, y))
+        outcome = self.open_step(step)
+        train_loss, grads = self.engine.loss_and_gradient(x, y)
+        pending = self.optimizer.compute_direction(self.model.params, grads)
+        self.engine.commit(self.optimizer, pending, self.finish_step(outcome, train_loss, pending.direction).lr)
+        return self.record_step(outcome)
 
+    def open_step(self, step: int) -> StepOutcome:
+        """A step's first half, before its gradient: the tuner's `close_window`; or the
+        schedule's lr, with its momentum set on the optimizer."""
+        if self.tuner is not None:
+            return self.tuner.close_window(step)
+        mom = momentum_at(self.schedule, step, self.total_steps)
+        if mom is not None:  # RunConfig accepts momentum_range only for the momentum optimizer
+            self.optimizer.mu = mom
+        return StepOutcome(step, [], lr_at(self.schedule, step, self.total_steps), math.nan, None, None, None, None, 0)
+
+    def finish_step(self, outcome: StepOutcome, train_loss: float, direction: np.ndarray) -> StepOutcome:
+        """A step's second half, before its commit at ``outcome.lr``: the tuner's `finish_step`."""
+        if self.tuner is not None:
+            return self.tuner.finish_step(outcome, train_loss, direction)
+        outcome.train_loss = train_loss
+        return outcome
+
+    def record_step(self, outcome: StepOutcome) -> RunRecord:
+        """Evaluate when the step is due to, after its commit, and record it."""
+        step = outcome.step
         test_loss = test_acc = None
         if (step + 1) % self.eval_every == 0 or step == self.total_steps - 1:
             test_loss, test_acc = self.engine.test_metrics()
-
+        probe_fwd = self.records[-1].probe_fwd if self.records else 0
+        if outcome.probe is not None:
+            probe_fwd += outcome.probe.forward_passes
         record = RunRecord(
             step=step,
             epoch=step // self.engine.batches_per_epoch,
-            lr=lr,
-            train_loss=train_loss,
-            superbatch_loss=sb_loss,
+            lr=outcome.lr,
+            train_loss=outcome.train_loss,
+            superbatch_loss=outcome.superbatch_loss,
             test_loss=test_loss,
             test_acc=test_acc,
             probe_fwd=probe_fwd,
-            event=event,
+            event=";".join(outcome.events),
         )
         self.records.append(record)
         return record
@@ -282,6 +289,63 @@ def aggregate_summaries(per_seed: list[dict[str, Any]]) -> dict[str, Any]:
     return aggregate
 
 
+class _Cohort:
+    """Seeds that step in lockstep: their params are the rows of one stacked model
+    (`Model.stack`), and their optimizer buffers the rows of one stacked optimizer
+    (`Optimizer.stack`)."""
+
+    def __init__(self, runs: list[TrainingRun]):
+        self.runs = runs
+        self.error: Optional[Exception] = None
+        self._stack()
+
+    def _stack(self) -> None:
+        first = self.runs[0]
+        self.model = type(first.model).stack([run.model for run in self.runs])
+        self.optimizer = type(first.optimizer).stack([run.optimizer for run in self.runs])
+
+    def each(self, method: Callable, *columns) -> list:
+        """``method(run, *its rows of columns)`` for each seed in turn. A seed that raises drops
+        out with every seed after it and keeps its error; the first seed's error is raised."""
+        out = []
+        for i, args in enumerate(zip(self.runs, *columns)):
+            try:
+                out.append(method(*args))
+            except Exception as exc:
+                if i == 0:
+                    raise
+                self.error = exc
+                del self.runs[i:]
+                self._stack()
+                break
+        return out
+
+    def step(self, step: int, dataset: Dataset) -> None:
+        """Every seed's step: each seed's `open_step`, one stacked gradient and direction at the
+        params those leave, each seed's `finish_step` along its row, one commit of the stack at
+        the seeds' lrs, and each seed's `record_step`, which evaluates its committed params."""
+        rows = np.array([run.engine.rows_for_step(step) for run in self.runs])
+        xs, ys = dataset.train_x[rows], dataset.train_y[rows]
+        outcomes = self.each(lambda run: run.open_step(step))
+        losses, grads = self.model.loss_and_gradient(xs[: len(self.runs)], ys[: len(self.runs)])
+        try:
+            pending = self.optimizer.compute_direction(self.model.params, grads)
+        except QuadtuneError:  # a non-finite gradient row: its seed's own call raises its error
+            self.each(lambda run, grad: run.optimizer.compute_direction(run.model.params, grad), grads)
+            pending = self.optimizer.compute_direction(self.model.params, grads[: len(self.runs)])
+        lrs = self.each(_finish_step, outcomes, losses.tolist(), pending.direction)
+        if len(lrs) < len(pending.direction):  # seed len(lrs) raised: the seeds before it commit
+            pending = self.optimizer.compute_direction(self.model.params, grads[: len(lrs)])
+        self.optimizer.commit_step(self.model.params, lrs, pending)
+        self.each(TrainingRun.record_step, outcomes)
+
+
+def _finish_step(run: TrainingRun, outcome: StepOutcome, loss: float, direction: np.ndarray) -> float:
+    """A cohort seed's `finish_step` with its share of the stacked result; returns its lr."""
+    run.engine.count_training_pass()
+    return run.finish_step(outcome, loss, direction).lr
+
+
 def _train_cohort(
     cfg: RunConfig, seeds: list[int], dataset: Dataset
 ) -> tuple[list[TrainingRun], Optional[Exception]]:
@@ -290,12 +354,10 @@ def _train_cohort(
     Its first seed is built and takes its first step; each later seed does the
     same while the cohort holds fewer than `BLOCK_ELEMENTS // parameters`
     seeds. A cohort of one trains with `TrainingRun.run`, unstacked: a stack
-    of one cost a moons step about 2 us more. In a larger one, every later
-    step gathers all seeds' minibatch rows with one index of the training set,
-    runs one stacked `loss_and_gradient` on them (`Model.stack`), and passes
-    each seed's `step_once` its share. A seed that raises drops out with every
-    seed after it, as if the seeds had run one after another. Returns the
-    seeds that finished, in config order, and the earliest error.
+    of one cost a moons step about 2 us more. A larger one takes every later
+    step with `_Cohort.step`. A seed that raises drops out with every seed
+    after it, as if the seeds had run one after another. Returns the seeds
+    that finished, in config order, and the earliest error.
     """
     first = TrainingRun(cfg, seeds.pop(0), dataset)
     first.advance_to(1)
@@ -312,24 +374,11 @@ def _train_cohort(
     if len(runs) == 1:
         first.run()
         return runs, error
-    stack = type(first.model).stack
-    stacked = stack([run.model for run in runs])
+    cohort = _Cohort(runs)
     with np.errstate(over="ignore", invalid="ignore"):  # as in advance_to
         for step in range(1, first.total_steps):
-            rows = np.array([run.engine.rows_for_step(step) for run in runs])
-            xs, ys = dataset.train_x[rows], dataset.train_y[rows]
-            losses, grads = stacked.loss_and_gradient(xs, ys)
-            for i, run in enumerate(runs):
-                try:
-                    run.step_once((xs[i], ys[i]), (float(losses[i]), grads[i]))
-                except Exception as exc:
-                    if i == 0:
-                        raise
-                    error = exc
-                    del runs[i:]
-                    stacked = stack([run.model for run in runs])
-                    break
-    return runs, error
+            cohort.step(step, dataset)
+    return cohort.runs, cohort.error or error
 
 
 def run_all_seeds(

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .engine import LossAndGradient, Superbatch, TrainingEngine
+from .engine import Superbatch, TrainingEngine
 from .errors import InvalidArgumentError
 from .optim import Optimizer, Snapshot, restore_snapshot, take_snapshot
 from .quadprobe import (
@@ -132,7 +132,7 @@ class Counters:
 
 @dataclass
 class StepOutcome:
-    """What the tuner measured and decided at one step."""
+    """What the tuner measured and decided at one step; a schedule run's holds its lr and train loss."""
 
     step: int
     events: list[str]
@@ -286,6 +286,7 @@ class LearningRateTuner:
         self.state = TunerState(phase=phase_at(0, cfg), current_lr=cfg.seed_lr)
         self._window: Optional[_Window] = None
         self._last_rate: Optional[float] = None
+        self._step_passes = 0  # the engine's forward passes when the current step's window closed
 
     # -- rollback ----------------------------------------------------------------
 
@@ -342,26 +343,31 @@ class LearningRateTuner:
 
     # -- one training step ------------------------------------------------------------
 
-    def run_step(self, step: int, x, y, computed: Optional[LossAndGradient] = None) -> StepOutcome:
-        """Advance training by one committed step, recomputing lr at window boundaries.
+    def run_step(self, step: int, x, y) -> StepOutcome:
+        """Advance training by one committed step on the batch, recomputing lr at window boundaries.
 
-        ``computed`` is the batch's loss and gradient when the caller computed them ahead at
-        the current params; a rollback drops it. The outcome is appended to ``state.log`` when
-        the step measured a window or decided something.
+        It is `close_window`, the batch's gradient and direction at the params
+        that close leaves, `finish_step` along that direction, and the commit.
         """
-        cfg, st = self.cfg, self.state
-        events: list[str] = []
-        closing = step % cfg.recompute_window == 0 and self._window is not None
-        rate = saturated = probe = window_loss = None
+        outcome = self.close_window(step)
+        train_loss, grads = self.engine.loss_and_gradient(x, y)
+        pending = self.optimizer.compute_direction(self.engine.model.params, grads)
+        self.finish_step(outcome, train_loss, pending.direction)
+        self.engine.commit(self.optimizer, pending, outcome.lr)
+        return outcome
 
-        passes = self.engine.forward_passes
-        if closing:
+    def close_window(self, step: int) -> StepOutcome:
+        """A step's first half: close the window due at ``step``, whose review may roll back
+        the last accepted lr change, and switch phase. Returns the outcome `finish_step` completes."""
+        cfg, st = self.cfg, self.state
+        outcome = StepOutcome(step, [], st.current_lr, math.nan, None, None, None, None, 0)
+        self._step_passes = self.engine.forward_passes
+        if step % cfg.recompute_window == 0 and self._window is not None:
             window = self._window
             window_loss = self.engine.superbatch_loss(window.superbatch)
-            rate = drop_rate(window.start_loss, window_loss, step - window.start_step)
+            outcome.rate = rate = drop_rate(window.start_loss, window_loss, step - window.start_step)
             if self.maybe_rollback(rate):
-                events.append(EVENT_ROLLBACK)
-                computed = None  # it was computed at the params just replaced
+                outcome.events.append(EVENT_ROLLBACK)
                 # The restored params are this window's opening ones.
                 window_loss = window.start_loss
             else:
@@ -370,33 +376,39 @@ class LearningRateTuner:
                     st.saturation = replace(st.saturation, reference_rate=rate)
             # The next window opens on the same rows, on a loss measured at its params.
             self._window = _Window(window.superbatch, window_loss, step)
+            outcome.superbatch_loss = window_loss
 
         phase = phase_at(step, cfg)
         if phase is not st.phase:
             st.phase = phase
-            events.append(EVENT_PHASE_SWITCH)
+            outcome.events.append(EVENT_PHASE_SWITCH)
+        return outcome
 
-        train_loss, grads = self.engine.loss_and_gradient(x, y, computed)
-        pending = self.optimizer.compute_direction(self.engine.model.params, grads)
-
-        if closing and EVENT_ROLLBACK not in events:
+    def finish_step(self, outcome: StepOutcome, train_loss: float, direction) -> StepOutcome:
+        """A step's second half, before its commit: the probe round along ``direction`` that a
+        closed window asks for, and the first window's opening. Sets the outcome's train loss
+        and the lr to commit at, and appends it to ``state.log`` when the step measured a window
+        or decided something."""
+        cfg, st = self.cfg, self.state
+        outcome.train_loss = train_loss
+        if outcome.rate is not None and EVENT_ROLLBACK not in outcome.events:
             if st.phase is Phase.EXPLOIT:
-                saturated, st.saturation = saturation_check(st.saturation, self._last_rate, cfg)
-                if not saturated:
-                    events.append(EVENT_REJECT_SATURATION)
-            if saturated is not False:
-                probe = self.recompute(step, pending.direction, self._last_rate)
-                events.append(probe.event)
+                outcome.saturated, st.saturation = saturation_check(st.saturation, self._last_rate, cfg)
+                if not outcome.saturated:
+                    outcome.events.append(EVENT_REJECT_SATURATION)
+            if outcome.saturated is not False:
+                outcome.probe = self.recompute(outcome.step, direction, self._last_rate)
+                outcome.events.append(outcome.probe.event)
 
         if self._window is None:
             sb = self.engine.draw_superbatch(cfg.superbatch_size)
-            window_loss = self.engine.superbatch_loss(sb)
-            self._window = _Window(sb, window_loss, step)
+            outcome.superbatch_loss = self.engine.superbatch_loss(sb)
+            self._window = _Window(sb, outcome.superbatch_loss, outcome.step)
 
-        self.engine.commit(self.optimizer, pending, st.current_lr)
-        # The step's forward passes, less its training forward and its probe round's.
-        window_passes = self.engine.forward_passes - passes - 1 - (probe.forward_passes if probe else 0)
-        outcome = StepOutcome(step, events, st.current_lr, train_loss, window_loss, rate, saturated, probe, window_passes)
-        if events or window_loss is not None:
+        # The step's forward passes since close_window, less its training forward and its probe round's.
+        probe_passes = outcome.probe.forward_passes if outcome.probe else 0
+        outcome.window_forward_passes = self.engine.forward_passes - self._step_passes - 1 - probe_passes
+        outcome.lr = st.current_lr
+        if outcome.events or outcome.superbatch_loss is not None:
             st.log.append(outcome)
         return outcome

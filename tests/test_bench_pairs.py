@@ -50,6 +50,16 @@ def test_the_summary_of_canned_pairs():
     assert block["failed"] == {"parent": "0/40", "change": "1/40"}
 
 
+def test_the_tuner_schedule_ratio_of_canned_pairs():
+    # Medians: moons_tuner 95.0 (parent) and 104.5 (change) steps/s; moons_cosine 120 and 114.
+    cosine = [dict(run, parent=side(120.0, 40.0), change=side(114.0, 40.0)) for run in RUNS]
+    workloads = {"moons_tuner": bench_pairs.summarize(RUNS, SPECS), "moons_cosine": bench_pairs.summarize(cosine, SPECS)}
+    ratio = bench_pairs.tuner_schedule_ratio(workloads)
+    assert ratio == {"parent": pytest.approx(120.0 / 95.0), "change": pytest.approx(114.0 / 104.5)}
+    del workloads["moons_cosine"]
+    assert bench_pairs.tuner_schedule_ratio(workloads) is None
+
+
 def test_the_parent_runs_first_on_odd_seeds(monkeypatch, tmp_path):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 2, "end_to_end": SPECS}), encoding="utf-8")
     order = []
@@ -84,3 +94,4 @@ def test_the_parent_runs_first_on_odd_seeds(monkeypatch, tmp_path):
     assert list(report["workloads"]) == ["linreg_tiny", "moons_cosine"]
     assert [run["first"] for run in report["workloads"]["linreg_tiny"]["runs"]] == ["parent", "change"]
     assert report["workloads"]["linreg_tiny"]["metrics"]["steps_per_s"]["parent"]["median"] == 107.5
+    assert report["tuner_schedule_ratio"] is None  # no moons_tuner

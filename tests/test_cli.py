@@ -17,6 +17,7 @@ from quadtune.config import RunConfig
 from quadtune.datasets import DATASETS
 from quadtune.errors import InvalidArgumentError, QuadtuneError
 from quadtune.models import Model
+from quadtune.optim import Optimizer
 from quadtune.quadprobe import epsilon_bound, probe_points
 from quadtune.runner import CSV_COLUMNS, LR_POLICIES, MODELS, OPTIMIZERS, RunRecord, TrainingRun
 from quadtune.schedules import lr_at
@@ -262,22 +263,68 @@ class TestTrainCommand:
         path = write_config(tmp_path, raw)
         assert main(["train", "--config", path, "--out", os.path.join(str(tmp_path), "full"), "--quiet"]) == 0
         out = Path(raw["out_dir"])
-        step_once = TrainingRun.step_once
+        record_step = TrainingRun.record_step
         seeds = set()
 
-        def step_or_fail(self, *batch):
+        def record_or_fail(self, outcome):
             seeds.add(self.seed)
             if (self.seed, len(self.records)) in failures:
                 raise QuadtuneError(f"seed {self.seed} fails")
-            return step_once(self, *batch)
+            return record_step(self, outcome)
 
-        monkeypatch.setattr(TrainingRun, "step_once", step_or_fail)
+        monkeypatch.setattr(TrainingRun, "record_step", record_or_fail)
         assert main(["train", "--config", path, "--quiet"]) == 2
         assert capsys.readouterr().err == f"error: {error}\n"
         assert seeds == stepped
         assert sorted(p.name for p in out.glob("*")) == kept  # no summary.json
         for name in kept:
             assert (out / name).read_bytes() == Path(tmp_path, "full", name).read_bytes()
+
+    @pytest.mark.parametrize("stage,error", [
+        ("open_step", "seed 2 fails"), ("finish_step", "seed 2 fails"), ("gradient", "non-finite gradient"),
+    ])
+    def test_a_seed_failing_inside_a_cohort_step_ends_the_command_as_if_the_seeds_ran_in_turn(
+        self, tmp_path, monkeypatch, capsys, stage, error
+    ):
+        # Three linreg Adam tuner seeds stack. Seed 2 fails at step 30, a window close: in its
+        # window close, in its probe round, or with a non-finite row of the stacked gradient.
+        # Seed 1 ends with the trace of its run alone, and seed 3 drops out with seed 2.
+        raw = tuner_raw(tmp_path, seeds=[1, 2, 3], dataset=LINREG_DATA, model={"kind": "linreg"},
+                        optimizer={"kind": "adam", "minibatch_size": 16})
+        path = write_config(tmp_path, raw)
+        assert main(["train", "--config", path, "--out", os.path.join(str(tmp_path), "full"), "--quiet"]) == 0
+        at = {}
+        open_step, loss_and_gradient = TrainingRun.open_step, Model.loss_and_gradient
+
+        def open_or_fail(self, step):
+            at[self.seed] = step
+            if stage == "open_step" and (self.seed, step) == (2, 30):
+                raise QuadtuneError("seed 2 fails")
+            return open_step(self, step)
+
+        def fail_in_finish(self, outcome, *args):
+            if (self.seed, outcome.step) == (2, 30):
+                raise QuadtuneError("seed 2 fails")
+            return finish_step(self, outcome, *args)
+
+        def poisoned(self, x, y):
+            losses, grads = loss_and_gradient(self, x, y)
+            if x.ndim == 3 and at.get(2) == 30:
+                grads[1, 0] = np.nan  # seed 2's row, once
+                del at[2]
+            return losses, grads
+
+        monkeypatch.setattr(TrainingRun, "open_step", open_or_fail)
+        if stage == "finish_step":
+            finish_step = TrainingRun.finish_step
+            monkeypatch.setattr(TrainingRun, "finish_step", fail_in_finish)
+        if stage == "gradient":
+            monkeypatch.setattr(Model, "loss_and_gradient", poisoned)
+        assert main(["train", "--config", path, "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        out = Path(raw["out_dir"])
+        assert sorted(p.name for p in out.glob("*")) == ["trace_seed1.csv"]
+        assert (out / "trace_seed1.csv").read_bytes() == Path(tmp_path, "full", "trace_seed1.csv").read_bytes()
 
     def test_seed_override(self, tmp_path):
         path = write_config(tmp_path, schedule_raw(tmp_path))
@@ -438,34 +485,50 @@ def test_every_command_rejects_an_unknown_key(tmp_path, capsys, command):
     assert not os.path.exists(raw["out_dir"])
 
 
-@pytest.mark.parametrize("overrides,rolls_back", [
-    pytest.param({"lr_policy": COSINE}, False, id="moons-cosine-mlp"),
-    pytest.param({}, True, id="moons-tuner-mlp"),
-    pytest.param({"optimizer": {"kind": "adamw", "weight_decay": 0.01, "minibatch_size": 32}}, True,
+@pytest.mark.parametrize("overrides,rolls_back,steps_diverge", [
+    pytest.param({"lr_policy": COSINE}, False, False, id="moons-cosine-mlp"),
+    pytest.param({}, True, True, id="moons-tuner-mlp"),
+    pytest.param({"optimizer": {"kind": "adamw", "weight_decay": 0.01, "minibatch_size": 32}}, True, True,
                  id="moons-adamw-tuner"),
-    pytest.param(LINREG_COSINE, False, id="linreg"),
+    pytest.param({"optimizer": {"kind": "sgd", "weight_decay": 0.01, "minibatch_size": 32}}, True, True,
+                 id="moons-sgd-decay-tuner"),
+    pytest.param({"optimizer": {"kind": "momentum", "momentum": 0.9, "weight_decay": 0.01, "minibatch_size": 32}},
+                 True, True, id="moons-momentum-decay-tuner"),
+    # The momentum is set at every step.
+    pytest.param({"lr_policy": ONE_CYCLE}, False, False, id="moons-one-cycle-momentum-range"),
+    pytest.param(LINREG_COSINE, False, False, id="linreg"),
     pytest.param({"dataset": LINREG_DATA, "model": {"kind": "linreg"},
-                  "optimizer": {"kind": "adam", "minibatch_size": 16}}, True, id="linreg-adam-tuner"),
-    pytest.param(dict(BOWL, lr_policy={"kind": "schedule", "variant": "cosine", "seed_lr": 0.05}), False,
+                  "optimizer": {"kind": "adam", "minibatch_size": 16}}, True, True, id="linreg-adam-tuner"),
+    pytest.param(dict(BOWL, lr_policy={"kind": "schedule", "variant": "cosine", "seed_lr": 0.05}), False, False,
                  id="bowl-cosine"),
     pytest.param(dict(BOWL, lr_policy={"kind": "tuner", "seed_lr": 0.05, "recompute_window": 5, "superbatch_size": 2}),
-                 True, id="bowl-adam-tuner"),
+                 True, False, id="bowl-adam-tuner"),
     # 4 x 17154 parameters exceed BLOCK_ELEMENTS (65536): seeds 1-3 stack, and seed 4 trains alone.
-    pytest.param(TWO_COHORTS, True, id="mlp-stack-over-the-block"),
+    pytest.param(TWO_COHORTS, True, False, id="mlp-stack-over-the-block"),
 ])
-def test_each_seed_of_a_command_equals_that_seed_run_alone(tmp_path, monkeypatch, overrides, rolls_back):
+def test_each_seed_of_a_command_equals_that_seed_run_alone(tmp_path, monkeypatch, overrides, rolls_back,
+                                                            steps_diverge):
+    # steps_diverge: seeds roll back at different steps, so at some stacked step their step counts
+    # differ, and Adam's bias corrections take a column of them.
     raw = tuner_raw(tmp_path, **dict({"seeds": [1, 2, 3]}, **overrides))
     path = write_config(tmp_path, raw)
-    stacked = []
-    stack = Model.stack.__func__
+    stacked, step_counts = [], set()
+    stack, commit_step = Model.stack.__func__, Optimizer.commit_step
 
     def counted_stack(cls, models):
         stacked.append(len(models))
         return stack(cls, models)
 
+    def spied_commit(self, params, lr, pending):
+        if self.seeds:
+            step_counts.add(len({seed.step_count for seed in self.seeds}) > 1)
+        return commit_step(self, params, lr, pending)
+
     monkeypatch.setattr(Model, "stack", classmethod(counted_stack))
+    monkeypatch.setattr(Optimizer, "commit_step", spied_commit)
     assert main(["train", "--config", path, "--quiet"]) == 0
     assert stacked == [3]  # every case stacks one cohort of 3 seeds
+    assert step_counts == ({False, True} if steps_diverge else {False})
     out = Path(raw["out_dir"])
     blocks = json.loads((out / "summary.json").read_text(encoding="utf-8"))["per_seed"]
     assert [block["seed"] for block in blocks] == raw["seeds"]

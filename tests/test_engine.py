@@ -263,11 +263,11 @@ def test_cost_counters():
     assert engine.backward_passes == 1
 
 
-def test_a_result_computed_ahead_is_returned_and_counted_as_one_pass():
+def test_a_training_pass_counts_one_forward_and_one_backward():
+    # A cohort computes its seeds' losses and gradients in one stacked call and counts each seed's pass.
     engine = make_engine()
     x, y = engine.minibatch(0)
-    computed = (0.5, np.arange(3.0))
-    assert engine.loss_and_gradient(x, y, computed) is computed
+    engine.count_training_pass()
     assert (engine.forward_passes, engine.backward_passes) == (1, 1)
     loss, grad = engine.loss_and_gradient(x, y)
     assert (loss, grad.tolist()) == (engine.model.loss(x, y), engine.model.gradient(x, y).tolist())

@@ -235,3 +235,92 @@ def test_sgd_monotone_on_bowl_below_stability():
         loss = 0.5 * float(theta @ a @ theta)
         assert loss <= prev + 1e-15
         prev = loss
+
+
+# A stack's seeds, made alike: (factory, momentum set per step or None).
+STACKED = [
+    pytest.param(lambda: Sgd(weight_decay=0.1), None, id="sgd-decay"),
+    pytest.param(lambda: Momentum(mu=0.9, weight_decay=0.05), [0.9, 0.85, 0.95, 0.8], id="momentum-decay-mu-per-step"),
+    pytest.param(Adam, None, id="adam"),
+    pytest.param(lambda: AdamW(weight_decay=0.1), None, id="adamw"),
+]
+
+
+@pytest.mark.parametrize("lone_steps", [(0, 0, 0), (3, 1, 2)], ids=["fresh", "step-counts-differ"])
+@pytest.mark.parametrize("make,mus", STACKED)
+def test_a_stack_gives_each_seed_the_bits_of_its_own_calls(make, mus, lone_steps):
+    # Seed i takes lone_steps[i] steps alone before it joins the stack, so Adam's bias
+    # corrections see a column of step counts; each seed commits at its own lr.
+    rng = np.random.default_rng(11)
+    alone, seeds = [make() for _ in lone_steps], [make() for _ in lone_steps]
+    params_alone = rng.normal(size=(3, 5))
+    params = params_alone.copy()
+    for i, steps in enumerate(lone_steps):
+        for _ in range(steps):
+            grads = rng.normal(size=5)
+            for opt, theta in ((alone[i], params_alone[i]), (seeds[i], params[i])):
+                opt.commit_step(theta, 0.1, opt.compute_direction(theta, grads))
+    stack = type(seeds[0]).stack(seeds)
+    for step in range(4):
+        if mus:
+            for opt in alone + seeds:
+                opt.mu = mus[step]
+        grads = rng.normal(size=(3, 5))
+        lrs = [0.1, 0.05 * (step + 1), 0.2]
+        pending = stack.compute_direction(params, grads)
+        for i, opt in enumerate(alone):
+            own = opt.compute_direction(params_alone[i], grads[i])
+            assert pending.direction[i].tobytes() == own.direction.tobytes()
+            opt.commit_step(params_alone[i], lrs[i], own)
+        stack.commit_step(params, lrs, pending)
+        assert params.tobytes() == params_alone.tobytes()
+        for i, (opt, seed) in enumerate(zip(alone, seeds)):
+            assert seed.step_count == opt.step_count == lone_steps[i] + step + 1
+            for name in type(opt).BUFFERS:
+                mine, own = getattr(seed, name), getattr(opt, name)
+                if isinstance(own, np.ndarray):
+                    assert mine.tobytes() == own.tobytes() and np.shares_memory(mine, getattr(stack, name)[i])
+                else:
+                    assert mine == own
+
+
+def test_a_non_finite_row_raises_only_for_its_seed():
+    # The stacked call refuses the stack; each seed's own call on its row raises only for the
+    # seed whose row is not finite, and the seeds before it step on as a stack of their own.
+    rng = np.random.default_rng(4)
+    seeds = [Adam() for _ in range(3)]
+    params, grads = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+    grads[1, 2] = np.inf
+    with pytest.raises(QuadtuneError, match="non-finite gradient"):
+        Adam.stack(seeds).compute_direction(params, grads)
+    failed = []
+    for i, seed in enumerate(seeds):
+        try:
+            seed.compute_direction(params[i], grads[i])
+        except QuadtuneError as exc:
+            failed.append((i, str(exc)))
+    assert failed == [(1, "non-finite gradient")]
+    before = Adam.stack(seeds[:1])
+    pending = before.compute_direction(params[:1], grads[:1])
+    assert pending.direction[0].tobytes() == Adam().compute_direction(params[0], grads[0]).direction.tobytes()
+
+
+@pytest.mark.parametrize("make", [Momentum, Adam])
+def test_a_restored_buffer_stays_its_row_of_the_stack(make):
+    # A rollback restores one seed of a stack: its buffers take the snapshot's values in place,
+    # so the stack's next commit still writes the seed's buffers.
+    rng = np.random.default_rng(9)
+    seeds = [make() for _ in range(2)]
+    stack = make.stack(seeds)
+    params = rng.normal(size=(2, 3))
+    stack.commit_step(params, [0.1, 0.1], stack.compute_direction(params, rng.normal(size=(2, 3))))
+    snap = take_snapshot(params[1], seeds[1], lr=0.1, step_index=1)
+    stack.commit_step(params, [0.1, 0.1], stack.compute_direction(params, rng.normal(size=(2, 3))))
+    restore_snapshot(snap, params[1], seeds[1])
+    assert seeds[1].step_count == 1
+    stack.commit_step(params, [0.1, 0.1], stack.compute_direction(params, rng.normal(size=(2, 3))))
+    for name in make.BUFFERS:
+        held = getattr(seeds[1], name)
+        if isinstance(held, np.ndarray):
+            assert np.shares_memory(held, getattr(stack, name)[1])
+            assert held.tobytes() == getattr(stack, name)[1].tobytes()

@@ -156,18 +156,18 @@ def test_a_cohort_is_freed_before_the_next_one_is_built(monkeypatch):
     # gone by then, or their models, optimizer buffers and records raise the command's peak memory.
     cfg = schedule_cfg(model={"kind": "mlp", "hidden": [128, 128]}, seeds=[1, 2, 3, 4])
     built, live = [], {}
-    init, step_once = TrainingRun.__init__, TrainingRun.step_once
+    init, record_step = TrainingRun.__init__, TrainingRun.record_step
 
     def tracked_init(self, *args):
         built.append(weakref.ref(self))
         init(self, *args)
 
-    def counted_step(self, *args):
+    def counted_step(self, outcome):
         live.setdefault(self.seed, set()).add(sum(ref() is not None for ref in built))
-        return step_once(self, *args)
+        return record_step(self, outcome)
 
     monkeypatch.setattr(TrainingRun, "__init__", tracked_init)
-    monkeypatch.setattr(TrainingRun, "step_once", counted_step)
+    monkeypatch.setattr(TrainingRun, "record_step", counted_step)
     run_all_seeds(cfg, lambda seed, records: None)
     assert live == {1: {1, 3}, 2: {2, 3}, 3: {3}, 4: {1}}
 
@@ -303,23 +303,23 @@ def _window_cfg(policy):
 
 
 def _measure_reused_starts_again(run, measured):
-    """Evaluate each window start that a boundary reused again before its step commits."""
-    commit = run.engine.commit
+    """Evaluate each window start that a boundary reused again before the rest of its step."""
+    finish_step = run.tuner.finish_step
 
-    def commit_after_measuring_again(*args):
-        window = run.tuner._window
-        if 0 < window.start_step == len(run.records):
+    def finish_after_measuring_again(outcome, *args):
+        window = run.tuner._window  # None until step 0 opens the first window
+        if window is not None and window.start_step == outcome.step:
             window.start_loss = run.engine.superbatch_loss(window.superbatch)
-            measured.append(len(run.records))
-        commit(*args)
+            measured.append(outcome.step)
+        return finish_step(outcome, *args)
 
-    run.engine.commit = commit_after_measuring_again
+    run.tuner.finish_step = finish_after_measuring_again
 
 
 @pytest.mark.parametrize("policy", WINDOW_POLICIES, ids=WINDOW_POLICY_IDS)
 def test_reused_window_losses_write_the_traces_of_fresh_ones(tmp_path, policy):
     # A window opens on the end loss of the one before it, or on the start loss of a
-    # rolled-back one. Measuring every such start again before the step commits must
+    # rolled-back one. Measuring every such start again before the rest of its step must
     # change nothing but the forward count.
     cfg = _window_cfg(policy)
     size = cfg.lr_policy["superbatch_size"]

@@ -444,10 +444,9 @@ class TestRollbackBitExact:
         assert model.params.tobytes() == expected.tobytes()
         assert tuner.state.current_lr == snap.lr
 
-    def test_a_rollback_drops_the_result_computed_at_the_replaced_params(self):
-        # A cohort passes each step's loss and gradient computed ahead. At a close that
-        # rolls back, they belong to the params the rollback replaced: the step must
-        # train on the restored params' own loss and gradient.
+    def test_a_rollback_step_trains_on_the_restored_params(self):
+        # A step's gradient is computed after its window close, so at a close that rolls
+        # back the step trains on the restored params' own loss and gradient.
         tuner, engine, model = bowl_tuner(seed_lr=0.01, window=5, explore=0.9)
         drive(tuner, engine, 6)
         from quadtune.optim import take_snapshot
@@ -461,8 +460,7 @@ class TestRollbackBitExact:
         tuner._window = None
         drive_range(tuner, engine, 6, 10)
         x, y = engine.batch_for_step(10)
-        wrong = (123.0, np.full(2, 7.0))
-        out = tuner.run_step(10, x, y, wrong)
+        out = tuner.run_step(10, x, y)
         assert out.events == [EVENT_ROLLBACK]
         restored = QuadraticBowl(np.diag([1.0, 10.0]), theta0=list(snap.params))
         loss, grad = restored.loss_and_gradient(x, y)

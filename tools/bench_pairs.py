@@ -17,7 +17,8 @@ CPU time per repeat of `quadtune train`. `BENCH_<label>.json` holds both
 commit ids, the exact commands, every run, and per workload and metric the
 two sides' medians and quartiles, the median change, the pairs the change
 won, the parent's quartile spread and the same medians split by the side
-that ran first (`by_first`).
+that ran first (`by_first`), and each side's tuner/schedule µs-per-step
+ratio (`tuner_schedule_ratio`, null unless both moons workloads ran).
 """
 
 from __future__ import annotations
@@ -106,6 +107,15 @@ def summarize(runs: list[dict], specs: list[dict]) -> dict:
     }
 
 
+def tuner_schedule_ratio(workloads: dict) -> dict[str, float] | None:
+    """Each side's tuner/schedule µs-per-step ratio: `moons_tuner`'s median µs per step over
+    `moons_cosine`'s, which train the same model and data. None without both workloads."""
+    if not {"moons_tuner", "moons_cosine"} <= workloads.keys():
+        return None
+    steps = {name: workloads[name]["metrics"]["steps_per_s"] for name in ("moons_tuner", "moons_cosine")}
+    return {s: steps["moons_cosine"][s]["median"] / steps["moons_tuner"][s]["median"] for s in SIDES}
+
+
 def git(*args: str, cwd: Path = ROOT) -> str:
     return subprocess.run(["git", "-C", str(cwd), *args], check=True, capture_output=True, text=True).stdout.strip()
 
@@ -149,6 +159,7 @@ def main(argv: list[str] | None = None) -> int:
                      " on odd seeds, the change first on even seeds; each run is its own process",
         "workloads": {name: summarize(pairs, specs) for name, pairs in runs.items()},
     }
+    report["tuner_schedule_ratio"] = tuner_schedule_ratio(report["workloads"])
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {path}")
