@@ -64,9 +64,9 @@ class Optimizer:
         parameters array, and each optimizer's buffer becomes its row, as
         `Model.stack` binds params. It reads each seed's step count and
         momentum from the seed's optimizer; its commit takes one lr per seed,
-        writes the next buffers into their rows and counts a step for every
-        seed. The update rules are elementwise, so each seed's row has the bits
-        of its own calls.
+        binds the next buffers, each seed to its row of them, and counts a
+        step for every seed. The update rules are elementwise, so each seed's
+        row has the bits of its own calls.
         """
         stacked = copy.copy(optimizers[0])
         stacked.seeds = list(optimizers)
@@ -77,9 +77,9 @@ class Optimizer:
         return stacked
 
     def _bind(self, name: str, value: np.ndarray) -> None:
-        """Make ``value`` a stack's buffer ``name``, and each of its rows that buffer of its seed."""
+        """Make ``value`` the buffer ``name``; for a stack, each of its rows that buffer of its seed."""
         setattr(self, name, value)
-        for seed, row in zip(self.seeds, value):
+        for seed, row in zip(self.seeds or (), value):
             setattr(seed, name, row)
 
     def compute_direction(self, params: np.ndarray, grads: np.ndarray) -> PendingStep:
@@ -102,7 +102,7 @@ class Optimizer:
 
     def commit_step(self, params: np.ndarray, lr: float | list[float], pending: PendingStep) -> None:
         """Apply the pending step at learning rate lr, a list of one per seed for a stack, to
-        params (a float64 array), in place."""
+        params (a float64 array), in place, and take its buffers without a copy (`_bind`)."""
         if (min(lr) if isinstance(lr, list) else lr) <= 0.0:
             raise InvalidArgumentError("lr must be positive")
         if isinstance(lr, list):
@@ -114,25 +114,17 @@ class Optimizer:
         params -= lr * pending.direction
         if decay is not None:
             params -= decay
-        if self.seeds is None:
-            vars(self).update(pending.payload)  # a lone optimizer takes the new arrays: no copy
-            self.step_count += 1
-            return
         for name, value in pending.payload.items():
-            held = getattr(self, name)
-            if held is None:
-                self._bind(name, value)
-            else:
-                held[...] = value  # each seed's buffer stays its row
-        for seed in self.seeds:
+            self._bind(name, value)
+        for seed in self.seeds or [self]:
             seed.step_count += 1
 
     def _step_counts(self) -> list[int]:
-        return [self.step_count] if self.seeds is None else [seed.step_count for seed in self.seeds]
+        return [seed.step_count for seed in self.seeds or [self]]
 
     def _per_seed(self, value: Callable[[Optimizer], float]):
-        """``value(self)``; for a stack, the seeds' values as `_common_or_column` gives them."""
-        return value(self) if self.seeds is None else _common_or_column([value(seed) for seed in self.seeds])
+        """The seeds' values (``value(self)`` alone) as `_common_or_column` gives them."""
+        return _common_or_column([value(seed) for seed in self.seeds or [self]])
 
     def _direction(self, params: np.ndarray, grads: np.ndarray) -> tuple[np.ndarray, dict]:
         raise NotImplementedError

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import traceback
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from .datasets import Dataset, kind_args, make_dataset, seeded_stream
 from .engine import TrainingEngine
-from .errors import InvalidArgumentError, QuadtuneError
+from .errors import InvalidArgumentError
 from .models import (
     BLOCK_ELEMENTS,
     TASK_CLASSIFICATION,
@@ -209,7 +210,7 @@ class TrainingRun:
         mom = momentum_at(self.schedule, step, self.total_steps)
         if mom is not None:  # RunConfig accepts momentum_range only for the momentum optimizer
             self.optimizer.mu = mom
-        return StepOutcome(step, [], lr_at(self.schedule, step, self.total_steps), math.nan, None, None, None, None, 0)
+        return StepOutcome(step, [], lr_at(self.schedule, step, self.total_steps))
 
     def finish_step(self, outcome: StepOutcome, train_loss: float, direction: np.ndarray) -> StepOutcome:
         """A step's second half, before its commit at ``outcome.lr``: the tuner's `finish_step`."""
@@ -296,29 +297,8 @@ class _Cohort:
 
     def __init__(self, runs: list[TrainingRun]):
         self.runs = runs
-        self.error: Optional[Exception] = None
-        self._stack()
-
-    def _stack(self) -> None:
-        first = self.runs[0]
-        self.model = type(first.model).stack([run.model for run in self.runs])
-        self.optimizer = type(first.optimizer).stack([run.optimizer for run in self.runs])
-
-    def each(self, method: Callable, *columns) -> list:
-        """``method(run, *its rows of columns)`` for each seed in turn. A seed that raises drops
-        out with every seed after it and keeps its error; the first seed's error is raised."""
-        out = []
-        for i, args in enumerate(zip(self.runs, *columns)):
-            try:
-                out.append(method(*args))
-            except Exception as exc:
-                if i == 0:
-                    raise
-                self.error = exc
-                del self.runs[i:]
-                self._stack()
-                break
-        return out
+        self.model = type(runs[0].model).stack([run.model for run in runs])
+        self.optimizer = type(runs[0].optimizer).stack([run.optimizer for run in runs])
 
     def step(self, step: int, dataset: Dataset) -> None:
         """Every seed's step: each seed's `open_step`, one stacked gradient and direction at the
@@ -326,18 +306,13 @@ class _Cohort:
         the seeds' lrs, and each seed's `record_step`, which evaluates its committed params."""
         rows = np.array([run.engine.rows_for_step(step) for run in self.runs])
         xs, ys = dataset.train_x[rows], dataset.train_y[rows]
-        outcomes = self.each(lambda run: run.open_step(step))
-        losses, grads = self.model.loss_and_gradient(xs[: len(self.runs)], ys[: len(self.runs)])
-        try:
-            pending = self.optimizer.compute_direction(self.model.params, grads)
-        except QuadtuneError:  # a non-finite gradient row: its seed's own call raises its error
-            self.each(lambda run, grad: run.optimizer.compute_direction(run.model.params, grad), grads)
-            pending = self.optimizer.compute_direction(self.model.params, grads[: len(self.runs)])
-        lrs = self.each(_finish_step, outcomes, losses.tolist(), pending.direction)
-        if len(lrs) < len(pending.direction):  # seed len(lrs) raised: the seeds before it commit
-            pending = self.optimizer.compute_direction(self.model.params, grads[: len(lrs)])
+        outcomes = [run.open_step(step) for run in self.runs]
+        losses, grads = self.model.loss_and_gradient(xs, ys)
+        pending = self.optimizer.compute_direction(self.model.params, grads)
+        lrs = [_finish_step(*args) for args in zip(self.runs, outcomes, losses.tolist(), pending.direction)]
         self.optimizer.commit_step(self.model.params, lrs, pending)
-        self.each(TrainingRun.record_step, outcomes)
+        for run, outcome in zip(self.runs, outcomes):
+            run.record_step(outcome)
 
 
 def _finish_step(run: TrainingRun, outcome: StepOutcome, loss: float, direction: np.ndarray) -> float:
@@ -353,11 +328,14 @@ def _train_cohort(
 
     Its first seed is built and takes its first step; each later seed does the
     same while the cohort holds fewer than `BLOCK_ELEMENTS // parameters`
-    seeds. A cohort of one trains with `TrainingRun.run`, unstacked: a stack
-    of one cost a moons step about 2 us more. A larger one takes every later
-    step with `_Cohort.step`. A seed that raises drops out with every seed
-    after it, as if the seeds had run one after another. Returns the seeds
-    that finished, in config order, and the earliest error.
+    seeds. A cohort of one trains with `TrainingRun.run`, unstacked: as a
+    stack of one, `wide_probe` read a larger peak RSS, more page faults and
+    a lower median step rate. A larger one takes every later step with
+    `_Cohort.step`. If a step raises, the cohort is dropped and its seeds
+    train again one after another with `TrainingRun.run` up to the first
+    that raises, as if they had never stacked; if every seed finishes, the
+    cohort's own error is raised. Returns the seeds that finished, in config
+    order, and the earliest error.
     """
     first = TrainingRun(cfg, seeds.pop(0), dataset)
     first.advance_to(1)
@@ -375,10 +353,24 @@ def _train_cohort(
         first.run()
         return runs, error
     cohort = _Cohort(runs)
-    with np.errstate(over="ignore", invalid="ignore"):  # as in advance_to
-        for step in range(1, first.total_steps):
-            cohort.step(step, dataset)
-    return cohort.runs, cohort.error or error
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # as in advance_to
+            for step in range(1, first.total_steps):
+                cohort.step(step, dataset)
+    except Exception as exc:
+        # Train the seeds again in turn, holding no run of the cohort in a local or a traceback's frame.
+        replay, runs = [run.seed for run in runs], []
+        del first, run, cohort, error
+        traceback.clear_frames(exc.__traceback__)
+        for seed in replay:
+            try:
+                run = TrainingRun(cfg, seed, dataset)
+                run.run()
+            except Exception as error:
+                return runs, error
+            runs.append(run)
+        raise  # every seed finished: a fault of the cohort alone
+    return runs, error
 
 
 def run_all_seeds(

@@ -137,12 +137,12 @@ class StepOutcome:
     step: int
     events: list[str]
     lr: float
-    train_loss: float
-    superbatch_loss: Optional[float]  # start loss of the window opened at this step
-    rate: Optional[float]  # drop rate of the window closed at this step
-    saturated: Optional[bool]  # the exploit phase's saturation verdict
-    probe: Optional[ProbeRound]
-    window_forward_passes: int
+    train_loss: float = math.nan
+    superbatch_loss: Optional[float] = None  # start loss of the window opened at this step
+    rate: Optional[float] = None  # drop rate of the window closed at this step
+    saturated: Optional[bool] = None  # the exploit phase's saturation verdict
+    probe: Optional[ProbeRound] = None
+    window_forward_passes: int = 0
 
 
 @dataclass
@@ -360,7 +360,7 @@ class LearningRateTuner:
         """A step's first half: close the window due at ``step``, whose review may roll back
         the last accepted lr change, and switch phase. Returns the outcome `finish_step` completes."""
         cfg, st = self.cfg, self.state
-        outcome = StepOutcome(step, [], st.current_lr, math.nan, None, None, None, None, 0)
+        outcome = StepOutcome(step, [], st.current_lr)
         self._step_passes = self.engine.forward_passes
         if step % cfg.recompute_window == 0 and self._window is not None:
             window = self._window

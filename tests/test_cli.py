@@ -21,6 +21,7 @@ from quadtune.optim import Optimizer
 from quadtune.quadprobe import epsilon_bound, probe_points
 from quadtune.runner import CSV_COLUMNS, LR_POLICIES, MODELS, OPTIMIZERS, RunRecord, TrainingRun
 from quadtune.schedules import lr_at
+from quadtune.tuner import LearningRateTuner
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -281,50 +282,85 @@ class TestTrainCommand:
             assert (out / name).read_bytes() == Path(tmp_path, "full", name).read_bytes()
 
     @pytest.mark.parametrize("stage,error", [
-        ("open_step", "seed 2 fails"), ("finish_step", "seed 2 fails"), ("gradient", "non-finite gradient"),
+        ("close_window", "seed 2 fails"), ("finish_step", "seed 2 fails"), ("gradient", "non-finite gradient"),
     ])
     def test_a_seed_failing_inside_a_cohort_step_ends_the_command_as_if_the_seeds_ran_in_turn(
         self, tmp_path, monkeypatch, capsys, stage, error
     ):
         # Three linreg Adam tuner seeds stack. Seed 2 fails at step 30, a window close: in its
-        # window close, in its probe round, or with a non-finite row of the stacked gradient.
-        # Seed 1 ends with the trace of its run alone, and seed 3 drops out with seed 2.
+        # window close, in its probe round, or with a non-finite gradient, poisoned once per run,
+        # whether it is seed 2's row of the stacked gradient or its own. The faults sit in code
+        # a seed run alone runs too. Seed 1 ends with the trace of its run alone, and seed 3
+        # leaves no trace.
         raw = tuner_raw(tmp_path, seeds=[1, 2, 3], dataset=LINREG_DATA, model={"kind": "linreg"},
                         optimizer={"kind": "adam", "minibatch_size": 16})
         path = write_config(tmp_path, raw)
         assert main(["train", "--config", path, "--out", os.path.join(str(tmp_path), "full"), "--quiet"]) == 0
-        at = {}
-        open_step, loss_and_gradient = TrainingRun.open_step, Model.loss_and_gradient
+        seed_of, at = {}, {}
+        init, loss_and_gradient = TrainingRun.__init__, Model.loss_and_gradient
+        close_window, finish_step = LearningRateTuner.close_window, LearningRateTuner.finish_step
 
-        def open_or_fail(self, step):
-            at[self.seed] = step
-            if stage == "open_step" and (self.seed, step) == (2, 30):
+        def tagged_init(self, *args):
+            init(self, *args)
+            seed_of[self.tuner] = self.seed
+
+        def close_or_fail(self, step):
+            if stage == "close_window" and (seed_of[self], step) == (2, 30):
                 raise QuadtuneError("seed 2 fails")
-            return open_step(self, step)
+            outcome = close_window(self, step)
+            at[seed_of[self]] = step
+            return outcome
 
-        def fail_in_finish(self, outcome, *args):
-            if (self.seed, outcome.step) == (2, 30):
+        def finish_or_fail(self, outcome, *args):
+            if stage == "finish_step" and (seed_of[self], outcome.step) == (2, 30):
                 raise QuadtuneError("seed 2 fails")
             return finish_step(self, outcome, *args)
 
         def poisoned(self, x, y):
             losses, grads = loss_and_gradient(self, x, y)
-            if x.ndim == 3 and at.get(2) == 30:
-                grads[1, 0] = np.nan  # seed 2's row, once
+            if stage == "gradient" and at.get(2) == 30:  # seed 2's call, or the stack's, after its close
+                (grads[1] if x.ndim == 3 else grads)[0] = np.nan
                 del at[2]
             return losses, grads
 
-        monkeypatch.setattr(TrainingRun, "open_step", open_or_fail)
-        if stage == "finish_step":
-            finish_step = TrainingRun.finish_step
-            monkeypatch.setattr(TrainingRun, "finish_step", fail_in_finish)
-        if stage == "gradient":
-            monkeypatch.setattr(Model, "loss_and_gradient", poisoned)
+        monkeypatch.setattr(TrainingRun, "__init__", tagged_init)
+        monkeypatch.setattr(LearningRateTuner, "close_window", close_or_fail)
+        monkeypatch.setattr(LearningRateTuner, "finish_step", finish_or_fail)
+        monkeypatch.setattr(Model, "loss_and_gradient", poisoned)
         assert main(["train", "--config", path, "--quiet"]) == 2
         assert capsys.readouterr().err == f"error: {error}\n"
         out = Path(raw["out_dir"])
         assert sorted(p.name for p in out.glob("*")) == ["trace_seed1.csv"]
         assert (out / "trace_seed1.csv").read_bytes() == Path(tmp_path, "full", "trace_seed1.csv").read_bytes()
+
+    @pytest.mark.parametrize("model", [{}, TWO_COHORTS], ids=["one-cohort", "two-cohorts"])
+    def test_a_fault_of_the_cohort_alone_ends_the_command_without_its_traces(
+        self, tmp_path, monkeypatch, capsys, model
+    ):
+        # A stacked commit (one lr per seed) that raises fails no seed run alone: seeds 1-3 train
+        # again one after another and all finish, and then the cohort's own error ends the
+        # command. No trace is written, and seed 4 of TWO_COHORTS is never built.
+        raw = schedule_raw(tmp_path, **dict({"seeds": [1, 2, 3]}, **model))
+        path = write_config(tmp_path, raw)
+        commit_step, run = Optimizer.commit_step, TrainingRun.run
+        ran = []
+
+        def lone_commit_only(self, params, lr, pending):
+            if isinstance(lr, list):
+                raise QuadtuneError("stacked commit fails")
+            return commit_step(self, params, lr, pending)
+
+        def counted_run(self):
+            records = run(self)
+            ran.append((self.seed, len(records)))
+            return records
+
+        monkeypatch.setattr(Optimizer, "commit_step", lone_commit_only)
+        monkeypatch.setattr(TrainingRun, "run", counted_run)
+        assert main(["train", "--config", path, "--quiet"]) == 2
+        assert capsys.readouterr().err == "error: stacked commit fails\n"
+        assert ran == [(1, 20), (2, 20), (3, 20)]  # each seed trains its 2 epochs of 10 minibatches
+        assert not any(Path(raw["out_dir"]).glob("*"))  # no trace and no summary.json
 
     def test_seed_override(self, tmp_path):
         path = write_config(tmp_path, schedule_raw(tmp_path))

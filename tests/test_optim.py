@@ -308,7 +308,7 @@ def test_a_non_finite_row_raises_only_for_its_seed():
 @pytest.mark.parametrize("make", [Momentum, Adam])
 def test_a_restored_buffer_stays_its_row_of_the_stack(make):
     # A rollback restores one seed of a stack: its buffers take the snapshot's values in place,
-    # so the stack's next commit still writes the seed's buffers.
+    # so the stack's next direction reads them, and its next commit gives the seed its new row.
     rng = np.random.default_rng(9)
     seeds = [make() for _ in range(2)]
     stack = make.stack(seeds)
@@ -318,9 +318,33 @@ def test_a_restored_buffer_stays_its_row_of_the_stack(make):
     stack.commit_step(params, [0.1, 0.1], stack.compute_direction(params, rng.normal(size=(2, 3))))
     restore_snapshot(snap, params[1], seeds[1])
     assert seeds[1].step_count == 1
+    for name in make.BUFFERS:
+        held = getattr(seeds[1], name)
+        if isinstance(held, np.ndarray):
+            assert np.shares_memory(held, getattr(stack, name)[1])
+            assert held.tobytes() == snap.opt_state["buffers"][name].tobytes()
     stack.commit_step(params, [0.1, 0.1], stack.compute_direction(params, rng.normal(size=(2, 3))))
     for name in make.BUFFERS:
         held = getattr(seeds[1], name)
         if isinstance(held, np.ndarray):
             assert np.shares_memory(held, getattr(stack, name)[1])
             assert held.tobytes() == getattr(stack, name)[1].tobytes()
+
+
+@pytest.mark.parametrize("make", [Momentum, Adam])
+def test_a_commit_takes_the_new_buffers_without_a_copy(make):
+    # One commit rule: a lone optimizer's buffers become the pending step's arrays, and each seed
+    # of a stack takes its row of them. The second commit is the one that could copy instead.
+    rng = np.random.default_rng(5)
+    lone, seeds = make(), [make() for _ in range(2)]
+    stack = make.stack(seeds)
+    params = rng.normal(size=(2, 3))
+    for _ in range(2):
+        pending = lone.compute_direction(params[0], rng.normal(size=3))
+        lone.commit_step(params[0], 0.1, pending)
+        assert all(getattr(lone, name) is value for name, value in pending.payload.items())
+        pending = stack.compute_direction(params, rng.normal(size=(2, 3)))
+        stack.commit_step(params, [0.1, 0.1], pending)
+        for name, value in pending.payload.items():
+            assert getattr(stack, name) is value
+            assert all(getattr(seed, name).base is value for seed in seeds)

@@ -8,8 +8,9 @@ import pytest
 from quadtune import cli, runner
 from quadtune.cli import write_trace
 from quadtune.config import RunConfig
-from quadtune.errors import InvalidArgumentError
+from quadtune.errors import InvalidArgumentError, QuadtuneError
 from quadtune.models import Mlp
+from quadtune.optim import Optimizer
 from quadtune.runner import TrainingRun, aggregate_summaries, run_all_seeds, schedule_from_policy, tuner_config_from_policy
 from quadtune.schedules import CosineDecay, StepSchedule, lr_at
 from quadtune.tuner import EVENT_ROLLBACK
@@ -170,6 +171,37 @@ def test_a_cohort_is_freed_before_the_next_one_is_built(monkeypatch):
     monkeypatch.setattr(TrainingRun, "record_step", counted_step)
     run_all_seeds(cfg, lambda seed, records: None)
     assert live == {1: {1, 3}, 2: {2, 3}, 3: {3}, 4: {1}}
+
+
+def test_a_failed_cohort_is_freed_before_its_seeds_train_again(monkeypatch):
+    # A stacked commit that raises drops the cohort of seeds 1-3, and they train again one after
+    # another. No run of the cohort may be alive by then: not through a local, nor through a
+    # frame of the cohort's error, or the replay holds the cohort's models and buffers too.
+    cfg = schedule_cfg(seeds=[1, 2, 3])
+    built, live = [], set()
+    init, record_step, commit_step = TrainingRun.__init__, TrainingRun.record_step, Optimizer.commit_step
+
+    def tracked_init(self, *args):
+        built.append(weakref.ref(self))
+        init(self, *args)
+
+    def counted_step(self, outcome):
+        if len(built) > 3:  # a replayed seed
+            live.add(sum(ref() is not None for ref in built[:3]))
+        return record_step(self, outcome)
+
+    def stacked_fails(self, params, lr, pending):
+        if isinstance(lr, list):
+            raise QuadtuneError("stacked commit fails")
+        return commit_step(self, params, lr, pending)
+
+    monkeypatch.setattr(TrainingRun, "__init__", tracked_init)
+    monkeypatch.setattr(TrainingRun, "record_step", counted_step)
+    monkeypatch.setattr(Optimizer, "commit_step", stacked_fails)
+    with pytest.raises(QuadtuneError, match="stacked commit fails"):
+        run_all_seeds(cfg, lambda seed, records: None)
+    assert len(built) == 6
+    assert live == {0}
 
 
 def test_determinism_same_seed_same_records():
